@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algnum import AlgebraicNumberSpec
@@ -21,6 +20,7 @@ from .intpoly import check_irreducible
 from .places import (
     RootOfUnity,
     Witness,
+    _frac_str,
     find_witness,
     verify_witness_certificate,
     witness_cert_from_doc,
@@ -34,25 +34,8 @@ from .projaut import (
 from . import parsing
 
 
-@dataclass
-class RunConfig:
-    max_depth: int = 10
-    max_precision_doublings: int = 40
-    prime_search_bound: int = 1000
-    json_output: bool = False
-
-    def __post_init__(self):
-        if min(self.max_depth, self.max_precision_doublings, self.prime_search_bound) <= 0:
-            raise ValueError("all bounds must be positive")
-
-
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _emit(doc: dict, cfg: RunConfig, text_lines) -> None:
-    if cfg.json_output:
+def _emit(doc: dict, json_output: bool, text_lines) -> None:
+    if json_output:
         print(json.dumps(doc, indent=2))
     else:
         for line in text_lines:
@@ -91,7 +74,7 @@ def _parse_aut_spec(args) -> tuple[ProjAutSpec, dict]:
     }
 
 
-def cmd_order(args, cfg: RunConfig) -> int:
+def cmd_order(args) -> int:
     spec, input_doc = _parse_aut_spec(args)
     verdict = spec.certify()
     doc = _verdict_doc(verdict, input_doc)
@@ -108,11 +91,11 @@ def cmd_order(args, cfg: RunConfig) -> int:
                 + f", |alpha| >= {_frac_str(c.norm_bound)}"
             )
     lines.append(f"conditionality: {verdict.conditionality}")
-    _emit(doc, cfg, lines)
+    _emit(doc, args.json, lines)
     return 0 if verdict.is_finite else 2
 
 
-def cmd_witness(args, cfg: RunConfig) -> int:
+def cmd_witness(args) -> int:
     f = parsing.parse_polynomial(args.poly)
     status = check_irreducible(f)
     alpha = AlgebraicNumberSpec(f.primitive_part(), None, status)
@@ -126,7 +109,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
             f"root of unity of order {result.order}",
             f"conditionality: {result.conditionality}",
         ]
-        _emit(doc, cfg, lines)
+        _emit(doc, args.json, lines)
         return 0
     cert = result.certificate
     mi = cert.modulus_interval()
@@ -137,7 +120,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
         f" (modulus in [{float(mi.lo):.6f}, {float(mi.hi):.6f}] approximate)",
         f"conditionality: {cert.conditionality}",
     ]
-    _emit(doc, cfg, lines)
+    _emit(doc, args.json, lines)
     return 2
 
 
@@ -150,19 +133,18 @@ def _region_from_args(args, p: int, n: int) -> Cylinder:
     return Cylinder(p, n, center, args.region_depth)
 
 
-def cmd_integrate(args, cfg: RunConfig) -> int:
+def cmd_integrate(args) -> int:
     p = args.prime
     f = parsing.parse_multipoly(args.density, args.dim)
     density = PolyDensity(f, args.root_index)
     region = _region_from_args(args, p, f.nvars)
-    depth = args.depth if args.depth is not None else cfg.max_depth
-    interval = integrate(density, region, depth)
+    interval = integrate(density, region, args.depth)
     doc = {
         "kind": "integral",
         "prime": p,
         "density": args.density,
         "root_index": args.root_index,
-        "depth": depth,
+        "depth": args.depth,
         "region": {
             "center": [_frac_str(c) for c in region.center],
             "depth": region.depth,
@@ -173,9 +155,9 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     }
     _emit(
         doc,
-        cfg,
+        args.json,
         [
-            f"integral of |{args.density}|^(1/{args.root_index}) at p={p}, depth {depth}:",
+            f"integral of |{args.density}|^(1/{args.root_index}) at p={p}, depth {args.depth}:",
             f"  lo = {_frac_str(interval.lo)}",
             f"  hi = {_frac_str(interval.hi)}",
             f"  approximate: [{float(interval.lo):.12g}, {float(interval.hi):.12g}]",
@@ -184,7 +166,7 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_measure(args, cfg: RunConfig) -> int:
+def cmd_measure(args) -> int:
     region = _region_from_args(args, args.prime, args.dim)
     mu = cylinder_measure(region)
     doc = {
@@ -194,11 +176,11 @@ def cmd_measure(args, cfg: RunConfig) -> int:
         "dim": region.dimension,
         "measure": _frac_str(mu),
     }
-    _emit(doc, cfg, [f"measure = {_frac_str(mu)}"])
+    _emit(doc, args.json, [f"measure = {_frac_str(mu)}"])
     return 0
 
 
-def cmd_tile(args, cfg: RunConfig) -> int:
+def cmd_tile(args) -> int:
     balanced, ledger = verify_shell_tiling(args.prime, args.scale, args.range)
     doc = {
         "kind": "tile",
@@ -216,7 +198,7 @@ def cmd_tile(args, cfg: RunConfig) -> int:
     }
     _emit(
         doc,
-        cfg,
+        args.json,
         [
             f"shell A = {{1 <= |y| < {args.prime}^{args.scale}}}, mu(A) = {_frac_str(ledger['mu_A'])}",
             f"sum over N in [-{args.range}, {args.range}]: {_frac_str(ledger['total'])}",
@@ -288,7 +270,7 @@ def _verify_integral_doc(doc: dict) -> bool:
     return interval.intersects(claimed)
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.file == "-":
         doc = json.load(sys.stdin)
     else:
@@ -319,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-doublings",
         type=int,
-        default=40,
-        help="cap on precision doublings in the archimedean witness search (default 40)",
+        help="accepted for compatibility; has no effect",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -340,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--prime", type=int, required=True)
     p_int.add_argument("--density", required=True, help="polynomial in x or x1..xn")
     p_int.add_argument("--root-index", type=int, default=1, dest="root_index")
-    p_int.add_argument("--depth", type=int, default=None, help="subdivision depth (default 10)")
+    p_int.add_argument("--depth", type=int, default=10, help="subdivision depth (default 10)")
     p_int.add_argument("--dim", type=int, default=None, help="ambient dimension")
     p_int.add_argument("--center", default=None, help="region center, comma-separated rationals")
     p_int.add_argument("--region-depth", type=int, default=0, dest="region_depth")
@@ -375,12 +356,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(
-        max_precision_doublings=args.max_doublings,
-        json_output=args.json,
-    )
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -204,26 +204,17 @@ def cyclotomic(d: int) -> IntPolynomial:
     return f
 
 
-def root_of_unity_order(f: IntPolynomial, enumeration_bound: int | None = None):
-    """Kronecker-style detection: the common multiplicative order of the
-    roots of f, when every irreducible factor of f is cyclotomic; None
-    otherwise.
+def factor_out_cyclotomics(f: IntPolynomial):
+    """Peel off the cyclotomic factors of f, each at most once.
 
-    Tests divisibility of f by each candidate cyclotomic; the matched
-    factors must multiply back to f (equivalently, peel f down to 1).
+    Returns (orders, remainder): the orders d of the peeled Phi_d in
+    increasing order, and the primitive remainder, the constant 1 exactly
+    when the primitive part of f is a squarefree product of cyclotomics.
     """
-    if f.is_constant():
-        raise ValueError("f must be nonconstant")
-    if not is_squarefree(f):
-        raise NotSquarefree(f"{f} has a repeated factor")
     g = f.primitive_part()
-    if g.leading != 1:
-        return None  # cyclotomics are monic
-    n = g.degree
-    # coarse but safe over-approximation of {d : phi(d) <= n}
-    bound = enumeration_bound if enumeration_bound is not None else 2 * n * n
-    matched = []
-    for d in range(1, bound + 1):
+    matched: list[int] = []
+    # coarse but safe over-approximation of {d : phi(d) <= deg f}
+    for d in range(1, 2 * f.degree * f.degree + 1):
         if g.degree == 0:
             break
         if euler_phi(d) > g.degree:
@@ -232,9 +223,22 @@ def root_of_unity_order(f: IntPolynomial, enumeration_bound: int | None = None):
         if q is not None:
             matched.append(d)
             g = q
-    if g.degree == 0 and g.coeffs == (1,):
-        return math.lcm(*matched)
-    return None
+    return matched, g
+
+
+def root_of_unity_order(f: IntPolynomial):
+    """Kronecker-style detection: the common multiplicative order of the
+    roots of f, when every irreducible factor of f is cyclotomic; None
+    otherwise.
+    """
+    if f.is_constant():
+        raise ValueError("f must be nonconstant")
+    if not is_squarefree(f):
+        raise NotSquarefree(f"{f} has a repeated factor")
+    if f.primitive_part().leading != 1:
+        return None  # cyclotomics are monic
+    matched, rem = factor_out_cyclotomics(f)
+    return math.lcm(*matched) if rem.coeffs == (1,) else None
 
 
 def is_algebraic_integer(f: IntPolynomial) -> bool:

@@ -254,27 +254,3 @@ class PAdicApprox:
         p, v, n = self.prime, self.valuation, self.precision
         ds = ",".join(str(d) for d in self.digits)
         return f"{p}^{v} * ({ds}) mod {p}^({v + n})"
-
-
-# Functional aliases matching the operation names used throughout the docs.
-from_rational = PAdicApprox.from_rational
-
-
-def add(x: PAdicApprox, y: PAdicApprox) -> PAdicApprox:
-    return x + y
-
-
-def mul(x: PAdicApprox, y: PAdicApprox) -> PAdicApprox:
-    return x * y
-
-
-def neg(x: PAdicApprox) -> PAdicApprox:
-    return -x
-
-
-def inv(x: PAdicApprox) -> PAdicApprox:
-    return x.inv()
-
-
-def norm(x: PAdicApprox) -> PPower:
-    return x.norm()

@@ -1,4 +1,4 @@
-"""Exact textual formats: rationals, polynomials, matrices, p-adic literals.
+"""Exact textual formats: rationals, polynomials, matrices.
 
 Everything round-trips bit-exactly; rationals are decimal integer-string
 fractions ``a/b`` throughout.
@@ -12,7 +12,6 @@ from fractions import Fraction
 from .errors import ParseError
 from .haar import MultiPoly
 from .intpoly import IntPolynomial
-from .padic import PAdicApprox
 
 
 def parse_rational(text: str) -> Fraction:
@@ -137,31 +136,3 @@ def parse_multipoly(text: str, nvars: int | None = None) -> MultiPoly:
         c = Rational(coeff)
         d[tuple(monom)] = Fraction(int(c.p), int(c.q))
     return MultiPoly.from_dict(n, d)
-
-
-_PADIC_RE = re.compile(
-    r"^\s*(?P<p>\d+)\^(?P<v>-?\d+)\s*\*\s*\((?P<digits>[\d,\s]*)\)\s*"
-    r"mod\s*(?P<p2>\d+)\^\((?P<k>-?\d+)\)\s*$"
-)
-
-
-def format_padic(x: PAdicApprox) -> str:
-    return str(x)
-
-
-def parse_padic_literal(text: str) -> PAdicApprox:
-    """Inverse of str(PAdicApprox): ``p^v * (d0,...,dN-1) mod p^(v+N)``."""
-    m = _PADIC_RE.match(text)
-    if not m:
-        raise ParseError(f"bad p-adic literal {text!r}")
-    p, v = int(m.group("p")), int(m.group("v"))
-    if int(m.group("p2")) != p:
-        raise ParseError("modulus prime differs from value prime")
-    digits = [int(d) for d in m.group("digits").split(",") if d.strip()]
-    n = int(m.group("k")) - v
-    if n != len(digits):
-        raise ParseError(f"modulus exponent {m.group('k')} != v + #digits")
-    if any(not 0 <= d < p for d in digits):
-        raise ParseError("digit out of range")
-    unit = sum(d * p**i for i, d in enumerate(digits))
-    return PAdicApprox(p, v, unit, n)

@@ -20,7 +20,7 @@ from sympy import factorint
 
 from .algnum import AlgebraicNumberSpec, UNCHECKED
 from .errors import MaxPrecisionExceeded, NotSquarefree, ZeroRoot
-from .intervals import RationalInterval, kth_root_enclosure
+from .intervals import RationalInterval, kth_root_enclosure, p_power_enclosure
 from .intpoly import (
     PROVEN,
     IntPolynomial,
@@ -101,8 +101,6 @@ class WitnessCertificate:
     def modulus_interval(self, scale_bits: int = 64) -> RationalInterval:
         """Certified rational enclosure of the witness conjugate's modulus."""
         if self.place.kind == "non_archimedean":
-            from .intervals import p_power_enclosure
-
             return p_power_enclosure(self.place.prime, self.place.slope, scale_bits)
         m2 = self.modulus_squared
         lo = kth_root_enclosure(m2.lo, 2, scale_bits).lo
@@ -148,18 +146,11 @@ def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
                 place = Place(
                     kind="non_archimedean", prime=p, slope=slope, segment_index=idx
                 )
-                exact = PPower(p, -slope)  # value p^slope > 1
-                if slope.denominator == 1:
-                    bound = Fraction(p) ** int(slope)
-                else:
-                    bound = kth_root_enclosure(
-                        Fraction(p) ** slope.numerator, slope.denominator, 32
-                    ).lo
                 return WitnessCertificate(
                     alpha=AlgebraicNumberSpec(g),
                     place=place,
-                    norm_bound=bound,
-                    exact_norm=exact,
+                    norm_bound=p_power_enclosure(p, slope, 32).lo,
+                    exact_norm=PPower(p, -slope),  # value p^slope > 1
                     conditionality=conditionality,
                 )
     # a primitive non-monic polynomial always has a rising hull segment
@@ -256,9 +247,7 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
         hull_slope = np.segments[idx][0]
         if hull_slope != slope or slope <= 0:
             return False
-        if slope.denominator == 1:
-            return cert.norm_bound <= Fraction(p) ** int(slope)
-        return cert.norm_bound ** slope.denominator <= Fraction(p) ** slope.numerator
+        return cert.norm_bound ** slope.denominator <= p ** slope.numerator
     if cert.place.kind == "archimedean":
         box = cert.place.root_box
         if box is None or not is_squarefree(f):
@@ -285,16 +274,12 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _interval_doc(iv: RationalInterval):
     return [_frac_str(iv.lo), _frac_str(iv.hi)]
 
 
 def _interval_from_doc(doc):
-    return RationalInterval(_parse_frac(doc[0]), _parse_frac(doc[1]))
+    return RationalInterval(Fraction(doc[0]), Fraction(doc[1]))
 
 
 def _box_doc(box: ComplexBox):
@@ -349,7 +334,7 @@ def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
     f = IntPolynomial.from_coeffs([int(c) for c in doc["alpha_poly"]])
     place_doc = doc["place"]
     if place_doc["type"] == "non_archimedean":
-        slope = _parse_frac(place_doc["slope"])
+        slope = Fraction(place_doc["slope"])
         p = int(place_doc["prime"])
         place = Place(
             kind="non_archimedean",
@@ -357,15 +342,11 @@ def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
             slope=slope,
             segment_index=int(place_doc["segment_index"]),
         )
-        exp = _parse_frac(doc["norm_bound"]["exponent"])
-        if exp.denominator == 1:
-            bound = Fraction(p) ** int(exp)
-        else:
-            bound = kth_root_enclosure(Fraction(p) ** exp.numerator, exp.denominator, 32).lo
+        exp = Fraction(doc["norm_bound"]["exponent"])
         return WitnessCertificate(
             alpha=AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNCHECKED)),
             place=place,
-            norm_bound=bound,
+            norm_bound=p_power_enclosure(p, exp, 32).lo,
             exact_norm=PPower(p, -exp),
             conditionality=doc["conditionality"],
         )

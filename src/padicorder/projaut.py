@@ -1,12 +1,14 @@
 """Finite-order certification of projective automorphisms.
 
-A class in PGL has finite order iff the conjugation operator
-X -> M X M^(-1) — whose eigenvalues are the eigenvalue ratios of M —
-has finite order in GL, which reduces to exact rational linear algebra:
-squarefree minimal polynomial with all factors cyclotomic.  Infinite
-order comes with a re-checkable reason: a repeated factor of the minimal
-polynomial (non-semisimplicity) or a local-field witness for some
-eigenvalue ratio off the unit circle.
+A class [M] in PGL_n has finite order iff M is semisimple and
+N = M^n / det M has finite order in GL_n.  The eigenvalues of N are
+mu_i = prod_j lambda_i / lambda_j, products of the eigenvalue ratios of
+M, so everything reduces to exact rational linear algebra on n x n
+matrices: a squarefree minimal polynomial of M, and a minimal
+polynomial of N whose factors are all cyclotomic.  Infinite order comes
+with a re-checkable reason: a repeated factor of the minimal polynomial
+of M (non-semisimplicity), or a local-field witness that some
+eigenvalue of N lies off the unit circle at a place.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from fractions import Fraction
 from .algnum import AlgebraicNumberSpec
 from .intpoly import (
     IntPolynomial,
-    cyclotomic,
-    euler_phi,
+    factor_out_cyclotomics,
     is_squarefree,
     poly_gcd,
+    root_of_unity_order,
 )
 from .padic import _check_prime
 from .places import (
@@ -128,7 +130,12 @@ def is_scalar_matrix(a: Matrix) -> bool:
 
 
 def conjugation_operator(m: Matrix) -> Matrix:
-    """The operator X -> M X M^(-1) on vec'd matrix space, as M kron M^(-T)."""
+    """The operator X -> M X M^(-1) on vec'd matrix space, as M kron M^(-T).
+
+    Its eigenvalues are the ratios lambda_i / lambda_j, so the linear
+    order of this n^2 x n^2 operator is the projective order of M; tests
+    use it as an independent reference for projective_order.
+    """
     return kron(m, transpose(mat_inv(m)))
 
 
@@ -211,34 +218,10 @@ def is_semisimple(m) -> bool:
     return is_squarefree(minimal_polynomial(m))
 
 
-def factor_out_cyclotomics(f: IntPolynomial):
-    """Peel off all cyclotomic factors; returns (orders, remainder)."""
-    g = f.primitive_part()
-    matched: list[int] = []
-    bound = 2 * f.degree * f.degree
-    for d in range(1, bound + 1):
-        if g.degree == 0:
-            break
-        if euler_phi(d) > g.degree:
-            continue
-        q = g.exact_div(cyclotomic(d))
-        if q is not None:
-            matched.append(d)
-            g = q
-    return matched, g
-
-
 def linear_order(m):
     """Smallest n with M^n = 1 in GL, or None for infinite order."""
     mp = minimal_polynomial(m)
-    if not is_squarefree(mp):
-        return None
-    if mp.primitive_part().leading != 1:
-        return None
-    matched, rem = factor_out_cyclotomics(mp)
-    if rem.degree != 0 or rem.coeffs != (1,):
-        return None
-    return math.lcm(*matched)
+    return root_of_unity_order(mp) if is_squarefree(mp) else None
 
 
 # --- verdicts ---------------------------------------------------------------
@@ -290,22 +273,27 @@ class ProjAutSpec:
 def projective_order(m) -> OrderVerdict:
     """Finite/infinite order of the class of M in PGL, with certificate."""
     m = as_matrix(m)
-    if mat_det(m) == 0:
+    det = mat_det(m)
+    if det == 0:
         raise ValueError("matrix is singular")
-    r = conjugation_operator(m)
-    n = linear_order(r)
-    if n is not None:
-        return OrderVerdict(kind="finite", order=n)
     mp = minimal_polynomial(m)
     if not is_squarefree(mp):
         evidence = poly_gcd(mp, mp.derivative())
         return OrderVerdict(
             kind="infinite", reason=NOT_SEMISIMPLE, jordan_evidence=evidence
         )
-    # semisimple: locate a non-cyclotomic factor of the ratio spectrum
-    mp_r = minimal_polynomial(r)
-    _, rem = factor_out_cyclotomics(mp_r)
-    assert rem.degree > 0, "linear_order failed but all factors are cyclotomic"
+    n = len(m)
+    big_n = tuple(tuple(x / det for x in row) for row in mat_pow(m, n))
+    matched, rem = factor_out_cyclotomics(minimal_polynomial(big_n))
+    if rem.coeffs == (1,):
+        # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k
+        bound = n * math.lcm(*matched)
+        order = next(
+            k
+            for k in range(1, bound + 1)
+            if bound % k == 0 and is_scalar_matrix(mat_pow(m, k))
+        )
+        return OrderVerdict(kind="finite", order=order)
     result = find_witness(AlgebraicNumberSpec.from_poly(rem, prove=True))
     assert isinstance(result, Witness)
     return OrderVerdict(

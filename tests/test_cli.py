@@ -139,3 +139,10 @@ def test_exit_codes_deterministic(capsys):
     b = main(["--max-doublings", "10", "witness", "x^2 - x - 1"])
     capsys.readouterr()
     assert a == b == 2
+
+
+def test_integrate_default_depth(capsys):
+    code, doc = run_json(capsys, "integrate", "--prime", "3", "--density", "x")
+    assert code == 0
+    assert doc["depth"] == 10
+

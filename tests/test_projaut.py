@@ -27,6 +27,7 @@ from padicorder import (
 from padicorder.projaut import (
     identity_matrix,
     is_scalar_matrix,
+    mat_det,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -120,6 +121,58 @@ def test_projective_order_companion_cyclotomic(d):
     # Independent oracle: smallest k with M^k scalar.
     assert v.order == min_scalar_power(m, 2 * d)
     assert v.order == (d if d % 2 else d // 2)
+
+
+def test_projective_order_phi15_companion():
+    # n = 8: the conjugation operator would be 64 x 64.
+    m = companion(cyclotomic(15))
+    v = projective_order(m)
+    assert v.is_finite
+    assert v.order == min_scalar_power(m, 30) == 15
+
+
+def disguise(m, seed):
+    """lam * P * M * P^-1 for a seeded scalar lam and invertible integer P."""
+    rng = random.Random(seed)
+    n = len(m)
+    while True:
+        pm = F([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if mat_det(pm) != 0:
+            break
+    lam = Fraction(rng.choice([1, -1, 2, 3, -5]), rng.choice([1, 2, 7]))
+    conj = mat_mul(mat_mul(pm, m), mat_inv(pm))
+    return tuple(tuple(lam * x for x in row) for row in conj)
+
+
+ORACLE_CASES = [(f"phi{d}", companion(cyclotomic(d))) for d in (3, 4, 5, 6, 8, 10, 12)] + [
+    ("x2-x-1", companion(IntPolynomial((-1, -1, 1)))),
+    ("x3-x-1", companion(IntPolynomial((-1, -1, 0, 1)))),
+    ("5x2-6x+5", F([[0, -1], [1, Fraction(6, 5)]])),  # its rational companion
+    ("diag(2,-2)", F([[2, 0], [0, -2]])),
+    ("diag(1,2)", F([[1, 0], [0, 2]])),
+]
+
+
+@pytest.mark.parametrize(
+    "name,m", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES]
+)
+def test_projective_order_matches_conjugation_operator(name, m):
+    for seed in range(2):
+        md = disguise(m, seed)
+        v = projective_order(md)
+        # The n^2 x n^2 operator X -> M X M^-1 has finite linear order
+        # exactly when [M] has finite order in PGL, and the orders agree.
+        assert v.order == linear_order(conjugation_operator(md))
+        assert v.is_finite == (v.order is not None)
+        if not v.is_finite:
+            assert v.reason == "EigenvalueWitness"
+            assert verify_witness_certificate(v.certificate)
+    if name == "diag(2,-2)":
+        assert v.order == 2
+    if name == "diag(1,2)":
+        # N = diag(1/2, 2) has the non-monic minimal polynomial 2x^2 - 5x + 2
+        assert v.certificate.place.kind == "non_archimedean"
+        assert v.certificate.place.prime == 2
 
 
 def test_scalar_and_conjugation_invariance_randomized():
