@@ -16,6 +16,13 @@ from sympy import nextprime
 from .errors import NotSquarefree
 
 
+def _trim(v: list) -> list:
+    """Drop trailing zero coefficients in place, keeping at least one."""
+    while len(v) > 1 and v[-1] == 0:
+        v.pop()
+    return v
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     coeffs: tuple[int, ...]
@@ -30,10 +37,7 @@ class IntPolynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":
-        coeffs = [int(c) for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
+        return cls(tuple(_trim([int(c) for c in coeffs])))
 
     @property
     def degree(self) -> int:
@@ -145,13 +149,6 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Z with positive leading coefficient."""
     a = [Fraction(c) for c in f.coeffs]
     b = [Fraction(c) for c in g.coeffs]
-
-    def strip(v):
-        while len(v) > 1 and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
     while not (len(b) == 1 and b[0] == 0):
         # a mod b over Q
         r = a[:]
@@ -161,9 +158,7 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
             for j, d in enumerate(b):
                 r[off + j] -= q * d
             r.pop()
-            r = strip(r) if r else [Fraction(0)]
-            if not r:
-                r = [Fraction(0)]
+            r = _trim(r) if r else [Fraction(0)]
         a, b = b, r
     den = math.lcm(*(c.denominator for c in a))
     ints = [int(c * den) for c in a]
@@ -268,10 +263,7 @@ def _fp_mulmod(a, b, m, p):
             off = k - dm
             for j in range(dm + 1):
                 out[off + j] = (out[off + j] - c * m[j]) % p
-    out = out[:dm]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim(out[:dm])
 
 
 def _fp_xpowmod(e, m, p):
@@ -287,14 +279,7 @@ def _fp_xpowmod(e, m, p):
 
 
 def _fp_gcd(a, b, p):
-    a, b = a[:], b[:]
-
-    def strip(v):
-        while len(v) > 1 and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
+    a, b = _trim(a[:]), _trim(b[:])
     while b != [0]:
         # a mod b
         inv = pow(b[-1], -1, p)
@@ -305,7 +290,7 @@ def _fp_gcd(a, b, p):
             for j, d in enumerate(b):
                 r[off + j] = (r[off + j] - q * d) % p
             r.pop()
-            r = strip(r) if r else [0]
+            r = _trim(r) if r else [0]
         a, b = b, r
     return a
 
@@ -334,16 +319,12 @@ def _irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
         # h - x
         h = h + [0] * max(0, 2 - len(h))
         h[1] = (h[1] - 1) % p
-        while len(h) > 1 and h[-1] == 0:
-            h.pop()
-        if len(_fp_gcd(m, h, p)) > 1:
+        if len(_fp_gcd(m, _trim(h), p)) > 1:
             return False
     top = _fp_xpowmod(p**n, m, p)
     top = top + [0] * max(0, 2 - len(top))
     top[1] = (top[1] - 1) % p
-    while len(top) > 1 and top[-1] == 0:
-        top.pop()
-    return top == [0]
+    return _trim(top) == [0]
 
 
 def _eisenstein_prime(f: IntPolynomial, bound: int = 1000):

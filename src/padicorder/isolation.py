@@ -1,27 +1,46 @@
 """Certified complex root isolation with exact rational boxes.
 
-The subdivision engine is sympy's exact Collins-Krandick style isolator
-(integer/rational arithmetic throughout, winding-style root counting on
-rectangle boundaries); this module wraps it behind rational ComplexBox
-values and enforces the contracts needed downstream: boxes of width at
-most eps, pairwise disjoint as closed sets, one root per box, and nested
-refinement when eps shrinks along a dyadic schedule.
+Approximate, then certify (Krawczyk 1969; Rump, "Verification methods",
+Acta Numerica 2010):
+
+- Approximate: mpmath's Durand-Kerner solver proposes all n roots at a
+  working precision that starts at 53 bits and doubles, up to
+  MAX_PRECISION_BITS, whenever it fails to converge or a check below
+  fails.
+- Candidate boxes: a dyadic box of radius max(4n|f/f'|, 2^(-prec/2))
+  goes around each approximation; it is a real box, with imaginary part
+  [0, 0], when the approximation lies within that radius of the real
+  axis.
+- Certify: the set is accepted only when the n boxes are pairwise
+  disjoint and every box X passes Krawczyk's test K(X) ⊆ X, with
+  K(X) = y - Y f(y) + (1 - Y f'(X))(X - y) computed in exact rational
+  rectangle arithmetic.  K(X) ⊆ X puts a root in X, so n disjoint boxes
+  of a squarefree polynomial of degree n hold exactly one root each,
+  and together they hold every root.
+- Shrink: each box is brought to width at most eps by X <- K(X) ∩ X,
+  rounded outward to dyadics.  The root is a fixed point of the Krawczyk
+  map, so it stays inside; the sequence of boxes does not depend on eps,
+  so the boxes for eps/2 nest in the boxes for eps.
+
+Floats and multiprecision numbers only propose candidates; every
+decision is an exact rational comparison.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy.polys.domains import ZZ
-from sympy.polys.rootisolation import (
-    dup_isolate_complex_roots_sqf,
-    dup_isolate_real_roots_sqf,
-)
+import mpmath
 
-from .errors import NotSquarefree
+from .errors import MaxPrecisionExceeded, NotSquarefree
 from .intervals import RationalInterval
 from .intpoly import IntPolynomial, is_squarefree
+
+MAX_PRECISION_BITS = 53 << 6  # working-precision cap of the approximation step
+MAX_SHRINK_STEPS = 64  # Krawczyk steps allowed per box when shrinking
+_GUARD_BITS = 8  # grid and inverse precision below a box's width
 
 
 @dataclass(frozen=True)
@@ -69,35 +88,161 @@ class ComplexBox:
         return f"{self.real} x {self.imag}"
 
 
-def _frac(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+# A rectangle is a tuple (re_lo, re_hi, im_lo, im_hi) of dyadic Fractions.
 
 
-class _LiveRoot:
-    """A sympy isolating interval being refined; converts to ComplexBox."""
+def _imul(a, b, c, d):
+    """[a, b] * [c, d]."""
+    p = (a * c, a * d, b * c, b * d)
+    return min(p), max(p)
 
-    def __init__(self, obj, is_real: bool):
-        self.obj = obj
-        self.is_real = is_real
 
-    def box(self) -> ComplexBox:
-        if self.is_real:
-            a, b = _frac(self.obj.a), _frac(self.obj.b)
-            if a > b:
-                a, b = b, a
-            return ComplexBox(RationalInterval(a, b), RationalInterval(0, 0))
-        o = self.obj
-        return ComplexBox(
-            RationalInterval(_frac(o.ax), _frac(o.bx)),
-            RationalInterval(_frac(o.ay), _frac(o.by)),
-        )
+def _rect_mul(x, y):
+    """Rectangle enclosing {u * v : u in x, v in y}."""
+    rr = _imul(x[0], x[1], y[0], y[1])
+    ii = _imul(x[2], x[3], y[2], y[3])
+    ri = _imul(x[0], x[1], y[2], y[3])
+    ir = _imul(x[2], x[3], y[0], y[1])
+    return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
 
-    def refine(self) -> bool:
-        """One bisection step; False when the interval is already a point."""
-        if self.is_real and self.obj.a == self.obj.b:
-            return False
-        self.obj = self.obj.refine()
-        return True
+
+def _eval_point(coeffs, yr, yi):
+    """Exact f(yr + i yi)."""
+    ar = ai = Fraction(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * yr - ai * yi + c, ar * yi + ai * yr
+    return ar, ai
+
+
+def _eval_rect(coeffs, x):
+    """Rectangle enclosing f(x), by Horner's rule."""
+    c = coeffs[-1]
+    acc = (c, c, 0, 0)
+    for c in reversed(coeffs[:-1]):
+        lo, hi, ilo, ihi = _rect_mul(acc, x)
+        acc = (lo + c, hi + c, ilo, ihi)
+    return acc
+
+
+def _width(x) -> Fraction:
+    return max(x[1] - x[0], x[3] - x[2])
+
+
+def _log2_inv(w: Fraction) -> int:
+    """About -log2(w) for w > 0."""
+    return w.denominator.bit_length() - w.numerator.bit_length()
+
+
+def _scale(s: int) -> Fraction:
+    return Fraction(2) ** s
+
+
+def _krawczyk(f: IntPolynomial, df: IntPolynomial, x):
+    """K(x) for y the centre of x and Y a dyadic approximation of
+    1/f'(y); None when f'(y) = 0."""
+    y_re, y_im = (x[0] + x[1]) / 2, (x[2] + x[3]) / 2
+    d_re, d_im = _eval_point(df.coeffs, y_re, y_im)
+    d2 = d_re * d_re + d_im * d_im
+    if d2 == 0:
+        return None
+    inv_re, inv_im = d_re / d2, -d_im / d2
+    # Y to about 16 bits more than -log2(width) significant bits, so that
+    # |1 - Y f'(y)| stays well below the width and shrinking is quadratic
+    bits = max(_log2_inv(_width(x)), 0) + 2 * _GUARD_BITS
+    scale = _scale(bits + _log2_inv(max(abs(inv_re), abs(inv_im))))
+    inv_re, inv_im = round(inv_re * scale) / scale, round(inv_im * scale) / scale
+    f_re, f_im = _eval_point(f.coeffs, y_re, y_im)
+    k_re = y_re - (inv_re * f_re - inv_im * f_im)
+    k_im = y_im - (inv_re * f_im + inv_im * f_re)
+    yd = _rect_mul((inv_re, inv_re, inv_im, inv_im), _eval_rect(df.coeffs, x))
+    contraction = (1 - yd[1], 1 - yd[0], -yd[3], -yd[2])
+    p = _rect_mul(contraction, (x[0] - y_re, x[1] - y_re, x[2] - y_im, x[3] - y_im))
+    return (k_re + p[0], k_re + p[1], k_im + p[2], k_im + p[3])
+
+
+def _box(x) -> ComplexBox:
+    return ComplexBox(RationalInterval(x[0], x[1]), RationalInterval(x[2], x[3]))
+
+
+def _holds_root(f: IntPolynomial, df: IntPolynomial, x) -> bool:
+    """Krawczyk's test K(x) ⊆ x, which proves that x holds a root."""
+    k = _krawczyk(f, df, x)
+    return k is not None and _box(x).contains_box(_box(k))
+
+
+def _to_grid(v, g: int) -> Fraction:
+    """The multiple of 2**g nearest to the mpf v."""
+    return int(mpmath.nint(mpmath.ldexp(v, -g))) * _scale(g)
+
+
+def _candidates(f: IntPolynomial, prec: int):
+    """Dyadic boxes around mpmath's root approximations at prec bits, or
+    None when the approximation step fails."""
+    n = f.degree
+    coeffs = f.coeffs[::-1]
+    with mpmath.workprec(prec):
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=50 + 10 * n)
+        except mpmath.NoConvergence:
+            return None
+        rects = []
+        for z in roots:
+            z = mpmath.mpc(z)
+            v, dv = mpmath.polyval(coeffs, z, derivative=True)
+            if dv == 0:
+                return None
+            r = max(4 * n * abs(v / dv), mpmath.ldexp(1, -(prec // 2)))
+            e = mpmath.frexp(r)[1]  # r <= 2**e
+            radius = _scale(e)
+            re = _to_grid(z.real, e - 2 * _GUARD_BITS)
+            if abs(z.imag) <= mpmath.ldexp(1, e):
+                im = (Fraction(0), Fraction(0))
+            else:
+                c = _to_grid(z.imag, e - 2 * _GUARD_BITS)
+                im = (c - radius, c + radius)
+            rects.append((re - radius, re + radius) + im)
+    return rects
+
+
+def _certified_rects(f: IntPolynomial, df: IntPolynomial):
+    """n pairwise-disjoint rectangles, each certified to hold a root."""
+    prec = 53
+    while prec <= MAX_PRECISION_BITS:
+        rects = _candidates(f, prec)
+        if rects is not None:
+            boxes = [_box(x) for x in rects]
+            if all(
+                not a.overlaps(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
+            ) and all(_holds_root(f, df, x) for x in rects):
+                return rects
+        prec *= 2
+    raise MaxPrecisionExceeded(
+        f"roots of {f} not certified at {MAX_PRECISION_BITS} bits of precision"
+    )
+
+
+def _shrink(f: IntPolynomial, df: IntPolynomial, x, eps: Fraction) -> ComplexBox:
+    """x <- K(x) ∩ x, rounded outward to dyadics, until width(x) <= eps."""
+    steps = 0
+    while _width(x) > eps:
+        k = _krawczyk(f, df, x) if steps < MAX_SHRINK_STEPS else None
+        if k is None:
+            raise MaxPrecisionExceeded(
+                f"a root box of {f} did not shrink to width {eps} "
+                f"in {MAX_SHRINK_STEPS} steps"
+            )
+        wk = _width(k)
+        if wk > 0:
+            s = _scale(_log2_inv(wk) + _GUARD_BITS)
+            k = (
+                math.floor(k[0] * s) / s,
+                math.ceil(k[1] * s) / s,
+                math.floor(k[2] * s) / s,
+                math.ceil(k[3] * s) / s,
+            )
+        x = (max(x[0], k[0]), min(x[1], k[1]), max(x[2], k[2]), min(x[3], k[3]))
+        steps += 1
+    return _box(x)
 
 
 def isolate_roots(f: IntPolynomial, eps) -> list[ComplexBox]:
@@ -105,8 +250,10 @@ def isolate_roots(f: IntPolynomial, eps) -> list[ComplexBox]:
 
     Returns exactly deg(f) pairwise-disjoint closed boxes of width at
     most eps, each containing one root, sorted by (Re lo, Im lo).  The
-    refinement schedule is deterministic bisection, so the boxes for
-    eps/2 are contained in the boxes for eps.
+    boxes shrink along a sequence that does not depend on eps, so the
+    boxes for eps/2 are contained in the boxes for eps.  Raises
+    MaxPrecisionExceeded when certification needs more than
+    MAX_PRECISION_BITS, or a box more than MAX_SHRINK_STEPS steps.
     """
     if f.is_constant():
         return []
@@ -115,40 +262,8 @@ def isolate_roots(f: IntPolynomial, eps) -> list[ComplexBox]:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-
-    dup = [ZZ(c) for c in reversed(f.coeffs)]
-    live = [
-        _LiveRoot(iv, True)
-        for iv in dup_isolate_real_roots_sqf(dup, ZZ, blackbox=True)
-    ]
-    live += [
-        _LiveRoot(iv, False)
-        for iv in dup_isolate_complex_roots_sqf(dup, ZZ, blackbox=True)
-    ]
-    assert len(live) == f.degree
-
-    # Phase 1 (eps-independent): closed boxes may share boundary points as
-    # returned; refine every box involved in an overlap until pairwise
-    # disjoint.  Running this before the width phase keeps the whole
-    # schedule monotone in eps, which makes dyadic refinements nest.
-    while True:
-        boxes = [r.box() for r in live]
-        clashing = set()
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                if boxes[i].overlaps(boxes[j]):
-                    clashing.update((i, j))
-        if not clashing:
-            break
-        for i in sorted(clashing):
-            live[i].refine()
-
-    # Phase 2: shrink to the requested width.
-    for r in live:
-        while r.box().width > eps:
-            r.refine()
-
+    df = f.derivative()
+    boxes = [_shrink(f, df, x, eps) for x in _certified_rects(f, df)]
     return sorted(
-        (r.box() for r in live),
-        key=lambda b: (b.real.lo, b.imag.lo, b.real.hi, b.imag.hi),
+        boxes, key=lambda b: (b.real.lo, b.imag.lo, b.real.hi, b.imag.hi)
     )

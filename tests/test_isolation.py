@@ -1,19 +1,26 @@
 """Certified complex root isolation: disjointness, width, nesting."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from padicorder import (
     ComplexBox,
     IntPolynomial,
+    MaxPrecisionExceeded,
     NotSquarefree,
     RationalInterval,
     cyclotomic,
+    is_squarefree,
     isolate_roots,
 )
+from padicorder import isolation
 
 EPS = Fraction(1, 64)
+LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
 
 def bisect_real_root(coeffs, lo, hi, steps=60):
@@ -113,3 +120,123 @@ def test_mod_squared_interval_exact_cases():
     )
     assert straddle.mod_squared_interval().lo == 0
     assert straddle.mod_squared_interval().hi == 2
+
+
+# --- approximate-then-certify: limits and independent checks -----------------
+
+
+def close_pair(deg, a):
+    """x^deg - 2(a x - 1)^2: two real roots near 1/a, about a^-deg apart."""
+    coeffs = [-2, 4 * a, -2 * a * a] + [0] * (deg - 3) + [1]
+    return IntPolynomial(tuple(coeffs))
+
+
+def test_precision_cap_raises_typed_error(monkeypatch):
+    # the two roots of x^10 - 2(50x - 1)^2 near 1/50 are about 2^-33
+    # apart: 53-bit candidates overlap, and certification needs 106 bits
+    monkeypatch.setattr(isolation, "MAX_PRECISION_BITS", 53)
+    with pytest.raises(MaxPrecisionExceeded):
+        isolate_roots(close_pair(10, 50), EPS)
+
+
+def test_shrink_step_limit_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(isolation, "MAX_SHRINK_STEPS", 0)
+    assert len(isolate_roots(LEHMER, EPS)) == 10  # no shrinking needed
+    with pytest.raises(MaxPrecisionExceeded):
+        isolate_roots(LEHMER, Fraction(1, 2**60))
+
+
+def _moved_off_root(rects):
+    lo, hi, im_lo, im_hi = rects[0]
+    return [(lo + 2 * (hi - lo), hi + 2 * (hi - lo), im_lo, im_hi)] + rects[1:]
+
+
+def _duplicated(rects):
+    return [rects[0], rects[0]] + rects[2:]
+
+
+@pytest.mark.parametrize("tamper", [_moved_off_root, _duplicated])
+def test_certification_rejects_bad_candidates(monkeypatch, tamper):
+    """A box without a root fails Krawczyk's test; two boxes around one
+    root fail the disjointness check; so no precision certifies."""
+    honest = isolation._candidates
+    monkeypatch.setattr(
+        isolation, "_candidates", lambda f, prec: tamper(honest(f, prec))
+    )
+    with pytest.raises(MaxPrecisionExceeded):
+        isolate_roots(IntPolynomial((-2, 0, 1)), EPS)
+
+
+@pytest.mark.parametrize("deg, a", [(10, 50), (12, 100)])
+def test_close_real_roots_certified_at_default_cap(deg, a):
+    f = close_pair(deg, a)
+    boxes = isolate_roots(f, EPS)
+    assert len(boxes) == deg
+    for i, x in enumerate(boxes):
+        for y in boxes[i + 1 :]:
+            assert not x.overlaps(y)
+    # the close pair sits in two of them
+    assert sum(abs(b.real.lo * a - 1) < Fraction(1, 10**6) for b in boxes) == 2
+
+
+def seeded_squarefree(count=60, seed=20261018):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        deg = rng.randint(1, 7)
+        lead = rng.choice([c for c in range(-20, 21) if c])
+        f = IntPolynomial(tuple(rng.randint(-20, 20) for _ in range(deg)) + (lead,))
+        if is_squarefree(f):
+            out.append(f)
+    return out
+
+
+ORACLE_POLYS = seeded_squarefree() + [LEHMER, cyclotomic(15)]
+
+
+@pytest.fixture(scope="module")
+def isolated():
+    return [(f, isolate_roots(f, EPS)) for f in ORACLE_POLYS]
+
+
+def test_seeded_boxes_count_and_disjoint(isolated):
+    for f, boxes in isolated:
+        assert len(boxes) == f.degree, f
+        for i, a in enumerate(boxes):
+            assert a.width <= EPS
+            for b in boxes[i + 1 :]:
+                assert not a.overlaps(b), f
+
+
+def test_seeded_real_boxes_match_sympy_real_isolation(isolated):
+    """sympy's exact real-root isolator serves as the oracle only."""
+    zero = RationalInterval(Fraction(0), Fraction(0))
+    for f, boxes in isolated:
+        real = [b.real for b in boxes if b.imag == zero]
+        dup = [ZZ(c) for c in reversed(f.coeffs)]
+        oracle = [
+            RationalInterval(
+                Fraction(int(lo.numerator), int(lo.denominator)),
+                Fraction(int(hi.numerator), int(hi.denominator)),
+            )
+            for lo, hi in dup_isolate_real_roots_sqf(dup, ZZ)
+        ]
+        assert len(real) == len(oracle), f
+        for iv in oracle:
+            matches = [
+                r for r in real if iv.contains_interval(r) or r.contains_interval(iv)
+            ]
+            assert len(matches) == 1, (f, iv)
+
+
+def test_seeded_boxes_satisfy_vieta_sum_exactly(isolated):
+    """The sum of the roots is -c_{n-1}/c_n and is real."""
+    for f, boxes in isolated:
+        re = RationalInterval(
+            sum(b.real.lo for b in boxes), sum(b.real.hi for b in boxes)
+        )
+        im = RationalInterval(
+            sum(b.imag.lo for b in boxes), sum(b.imag.hi for b in boxes)
+        )
+        assert re.contains(Fraction(-f.coeffs[-2], f.coeffs[-1])), f
+        assert im.contains(0), f

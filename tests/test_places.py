@@ -8,11 +8,15 @@ import pytest
 
 from padicorder import (
     AlgebraicNumberSpec,
+    ComplexBox,
     IntPolynomial,
     PPower,
+    Place,
+    RationalInterval,
     RootOfUnity,
     SLOPE_CONVENTION,
     Witness,
+    WitnessCertificate,
     ZeroRoot,
     cyclotomic,
     find_witness,
@@ -131,3 +135,43 @@ def test_conditionality_flag():
     assert proven.certificate.conditionality == "Unconditional"
     unchecked = find_witness(AlgebraicNumberSpec(f))
     assert unchecked.certificate.conditionality == "ConditionalOnIrreducibility"
+
+
+# A Lehmer witness written by the earlier bisection isolator: its box has
+# non-dyadic endpoints, unlike the boxes the Krawczyk isolator emits.
+BISECTION_LEHMER_DOC = {
+    "case": "witness",
+    "alpha_poly": ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"],
+    "conditionality": "ConditionalOnIrreducibility",
+    "slope_convention": "root valuation = -slope",
+    "place": {
+        "type": "archimedean",
+        "box": {"re": ["7/6", "6/5"], "im": ["0/1", "0/1"]},
+        "root_index": 9,
+    },
+    "norm_bound": {"num": "38229", "den": "32768"},
+    "modulus_squared": ["49/36", "36/25"],
+    "kind": "witness",
+    "irreducibility": "Unknown",
+}
+
+
+def test_bisection_era_lehmer_document_still_verifies():
+    assert verify_witness_certificate(witness_cert_from_doc(BISECTION_LEHMER_DOC))
+
+
+def test_verify_rejects_box_holding_two_roots():
+    # x^2 - 5x + 6 has roots 2 and 3, both inside the claimed box
+    box = ComplexBox(
+        RationalInterval(Fraction(3, 2), Fraction(7, 2)),
+        RationalInterval(Fraction(-1, 2), Fraction(1, 2)),
+    )
+    m2 = box.mod_squared_interval()
+    cert = WitnessCertificate(
+        alpha=AlgebraicNumberSpec(IntPolynomial((6, -5, 1))),
+        place=Place(kind="archimedean", root_box=box, root_index=0),
+        norm_bound=Fraction(3, 2),
+        modulus_squared=m2,
+    )
+    assert m2.lo > 1 and cert.norm_bound**2 <= m2.lo  # only the root count fails
+    assert not verify_witness_certificate(cert)
