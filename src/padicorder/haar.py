@@ -143,9 +143,6 @@ class MultiPoly:
             return INF
         return min(rational_valuation(c, p) for _, c in self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
 
 def _det(m: list[list[MultiPoly]]) -> MultiPoly:
     n = len(m)
@@ -198,21 +195,6 @@ class Cylinder:
         for residues in itertools.product(range(self.prime), repeat=self.dimension):
             center = tuple(c + step * r for c, r in zip(self.center, residues))
             yield Cylinder(self.prime, self.dimension, center, self.depth + 1)
-
-    def same_cylinder(self, other: "Cylinder") -> bool:
-        """Equality as subsets of Qp^n (centers agree mod p^depth)."""
-        if (self.prime, self.dimension, self.depth) != (
-            other.prime,
-            other.dimension,
-            other.depth,
-        ):
-            return False
-        return all(
-            rational_valuation(a - b, self.prime) >= self.depth
-            if a != b
-            else True
-            for a, b in zip(self.center, other.center)
-        )
 
 
 def cylinder_measure(c: Cylinder) -> Fraction:

@@ -57,14 +57,8 @@ class RationalInterval:
     def intersects(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
-
-
-ZERO_INTERVAL = RationalInterval(Fraction(0), Fraction(0))
 
 
 def integer_kth_root(n: int, k: int) -> int:

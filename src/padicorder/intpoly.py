@@ -1,17 +1,22 @@
-"""Exact integer polynomial algebra and Kronecker root-of-unity detection.
+"""Exact integer polynomial algebra, Kronecker root-of-unity detection and
+exact irreducibility over Q.
 
 Polynomials are dense tuples of integer coefficients in ascending order,
-``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``.
+``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Gcds, exact division
+and irreducibility use sympy's dense routines over ZZ; irreducibility is
+decided by factoring over Z (Zassenhaus), so it is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from sympy import nextprime
+from sympy.polys.densearith import dup_rr_div
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list
 
 from .errors import NotSquarefree
 
@@ -21,6 +26,11 @@ def _trim(v: list) -> list:
     while len(v) > 1 and v[-1] == 0:
         v.pop()
     return v
+
+
+def _dense(f: IntPolynomial) -> list:
+    """sympy's dense form over ZZ: the coefficients, leading first."""
+    return list(reversed(f.coeffs))
 
 
 @dataclass(frozen=True)
@@ -90,37 +100,10 @@ class IntPolynomial:
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
-    def scale_arg(self, a: int) -> "IntPolynomial":
-        """f(a*x)."""
-        return IntPolynomial.from_coeffs(
-            [c * a**i for i, c in enumerate(self.coeffs)]
-        )
-
-    def reverse(self) -> "IntPolynomial":
-        """x^deg * f(1/x); swaps roots with their reciprocals."""
-        return IntPolynomial.from_coeffs(tuple(reversed(self.coeffs)))
-
     def exact_div(self, divisor: "IntPolynomial"):
         """Exact quotient over Z, or None when the division does not come out even."""
-        if divisor.degree > self.degree:
-            return None
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(divisor.leading)
-        quot = [Fraction(0)] * (self.degree - divisor.degree + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            q = rem[k + divisor.degree] / lead
-            quot[k] = q
-            if q:
-                for j, d in enumerate(divisor.coeffs):
-                    rem[k + j] -= q * d
-        if any(rem):
-            return None
-        if any(q.denominator != 1 for q in quot):
-            return None
-        return IntPolynomial.from_coeffs([int(q) for q in quot])
-
-    def divides(self, other: "IntPolynomial") -> bool:
-        return other.exact_div(self) is not None
+        quot, rem = dup_rr_div(_dense(self), _dense(divisor), ZZ)
+        return None if rem else IntPolynomial.from_coeffs(reversed(quot))
 
     def __str__(self):
         terms = []
@@ -147,22 +130,8 @@ class IntPolynomial:
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Z with positive leading coefficient."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-    while not (len(b) == 1 and b[0] == 0):
-        # a mod b over Q
-        r = a[:]
-        while len(r) >= len(b) and not (len(r) == 1 and r[0] == 0):
-            q = r[-1] / b[-1]
-            off = len(r) - len(b)
-            for j, d in enumerate(b):
-                r[off + j] -= q * d
-            r.pop()
-            r = _trim(r) if r else [Fraction(0)]
-        a, b = b, r
-    den = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * den) for c in a]
-    return IntPolynomial.from_coeffs(ints).primitive_part()
+    gcd = dup_gcd(_dense(f), _dense(g), ZZ)
+    return IntPolynomial.from_coeffs(reversed(gcd)).primitive_part()
 
 
 def is_squarefree(f: IntPolynomial) -> bool:
@@ -241,122 +210,16 @@ def is_algebraic_integer(f: IntPolynomial) -> bool:
     return abs(f.primitive_part().leading) == 1
 
 
-# --- best-effort irreducibility -------------------------------------------
+# --- irreducibility --------------------------------------------------------
 
 PROVEN = "Proven"
 UNKNOWN = "Unknown"
 
 
-def _fp_mulmod(a, b, m, p):
-    """(a*b) mod m in F_p[x]; dense ascending lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    # reduce mod m (m monic)
-    dm = len(m) - 1
-    for k in range(len(out) - 1, dm - 1, -1):
-        c = out[k]
-        if c:
-            off = k - dm
-            for j in range(dm + 1):
-                out[off + j] = (out[off + j] - c * m[j]) % p
-    return _trim(out[:dm])
-
-
-def _fp_xpowmod(e, m, p):
-    """x^e mod m over F_p."""
-    result = [1]
-    base = [0, 1] if len(m) > 2 else _fp_mulmod([0, 1], [1], m, p)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a, b, p):
-    a, b = _trim(a[:]), _trim(b[:])
-    while b != [0]:
-        # a mod b
-        inv = pow(b[-1], -1, p)
-        r = a[:]
-        while len(r) >= len(b) and r != [0]:
-            q = r[-1] * inv % p
-            off = len(r) - len(b)
-            for j, d in enumerate(b):
-                r[off + j] = (r[off + j] - q * d) % p
-            r.pop()
-            r = _trim(r) if r else [0]
-        a, b = b, r
-    return a
-
-
-def _irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
-    """Rabin's test for irreducibility of f mod p (degree preserved)."""
-    n = f.degree
-    if f.leading % p == 0:
-        return False
-    lc_inv = pow(f.leading % p, -1, p)
-    m = [c * lc_inv % p for c in f.coeffs]
-    if n == 1:
-        return True
-    # distinct prime divisors of n
-    qs, nn, q = [], n, 2
-    while q * q <= nn:
-        if nn % q == 0:
-            qs.append(q)
-            while nn % q == 0:
-                nn //= q
-        q += 1
-    if nn > 1:
-        qs.append(nn)
-    for q_ in qs:
-        h = _fp_xpowmod(p ** (n // q_), m, p)
-        # h - x
-        h = h + [0] * max(0, 2 - len(h))
-        h[1] = (h[1] - 1) % p
-        if len(_fp_gcd(m, _trim(h), p)) > 1:
-            return False
-    top = _fp_xpowmod(p**n, m, p)
-    top = top + [0] * max(0, 2 - len(top))
-    top[1] = (top[1] - 1) % p
-    return _trim(top) == [0]
-
-
-def _eisenstein_prime(f: IntPolynomial, bound: int = 1000):
-    if f.degree < 1:
-        return None
-    lower_gcd = math.gcd(*f.coeffs[:-1]) if len(f.coeffs) > 2 else abs(f.coeffs[0])
-    if lower_gcd == 0:
-        return None
-    p = 2
-    while p <= bound:
-        if lower_gcd % p == 0 and f.leading % p != 0 and f.constant % (p * p) != 0:
-            return p
-        p = int(nextprime(p))
-    return None
-
-
-def check_irreducible(f: IntPolynomial, num_primes: int = 12) -> str:
-    """Best-effort irreducibility over Q: PROVEN when a sound criterion
-    fires (degree 1, irreducible mod p, or Eisenstein), UNKNOWN otherwise.
-    Never claims PROVEN incorrectly.
+def check_irreducible(f: IntPolynomial) -> str:
+    """Irreducibility over Q by exact factorization over Z (Zassenhaus):
+    PROVEN when the primitive part of f is one irreducible factor of
+    multiplicity 1, UNKNOWN for constant, reducible or non-squarefree f.
     """
-    g = f.primitive_part()
-    if g.degree == 1:
-        return PROVEN
-    if g.degree == 0 or not is_squarefree(g):
-        return UNKNOWN
-    p, tried = 2, 0
-    while tried < num_primes:
-        if g.leading % p != 0 and _irreducible_mod_p(g, p):
-            return PROVEN
-        tried += 1
-        p = int(nextprime(p))
-    if _eisenstein_prime(g) is not None:
-        return PROVEN
-    return UNKNOWN
+    _, factors = dup_factor_list(_dense(f.primitive_part()), ZZ)
+    return PROVEN if [m for _, m in factors] == [1] else UNKNOWN

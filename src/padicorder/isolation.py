@@ -54,9 +54,6 @@ class ComplexBox:
     def width(self) -> Fraction:
         return max(self.real.width, self.imag.width)
 
-    def contains(self, re, im) -> bool:
-        return self.real.contains(re) and self.imag.contains(im)
-
     def contains_box(self, other: "ComplexBox") -> bool:
         return self.real.contains_interval(other.real) and self.imag.contains_interval(
             other.imag

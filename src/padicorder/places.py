@@ -43,9 +43,6 @@ class NewtonPolygon:
     lower_hull: tuple[tuple[int, int], ...]
     segments: tuple[tuple[Fraction, int], ...]  # (slope, length)
 
-    def total_rise(self) -> Fraction:
-        return sum((s * l for s, l in self.segments), Fraction(0))
-
 
 def newton_polygon(f: IntPolynomial, p: int) -> NewtonPolygon:
     """Lower convex hull of {(i, v_p(c_i)) : c_i != 0}."""

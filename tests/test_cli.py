@@ -146,3 +146,14 @@ def test_integrate_default_depth(capsys):
     assert code == 0
     assert doc["depth"] == 10
 
+
+def test_witness_lehmer_unconditional_and_verifies(capsys, tmp_path):
+    lehmer = "x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"
+    code, doc = run_json(capsys, "witness", lehmer)
+    assert code == 2
+    assert doc["conditionality"] == "Unconditional"
+    assert doc["irreducibility"] == "Proven"
+    path = tmp_path / "lehmer.json"
+    path.write_text(json.dumps(doc))
+    vcode, out, _ = run(capsys, "verify", str(path))
+    assert vcode == 0 and "VALID" in out

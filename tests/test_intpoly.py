@@ -1,10 +1,13 @@
 """Integer polynomials, cyclotomics, Kronecker detection, irreducibility."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_irreducible_p
 
 from padicorder import (
     IntPolynomial,
@@ -22,6 +25,7 @@ from padicorder import (
 
 X = IntPolynomial((0, 1))
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+SALEM10 = IntPolynomial((1, 0, 0, 0, -1, -1, -1, 0, 0, 0, 1))  # x^10 - x^6 - x^5 - x^4 + 1
 
 
 def from_roots(roots):
@@ -165,3 +169,74 @@ def test_mul_matches_evaluation(coeffs):
     g = IntPolynomial((1, -2, 3))
     for x in (Fraction(0), Fraction(2), Fraction(-1, 3)):
         assert (f * g)(x) == f(x) * g(x)
+
+
+# --- exact irreducibility, gcd and division on seeded inputs ----------------
+
+
+def _random_poly(rng, lo, hi, bound=9):
+    """Degree in [lo, hi], coefficients in [-bound, bound], nonzero leading one."""
+    coeffs = [rng.randint(-bound, bound) for _ in range(rng.randint(lo, hi) + 1)]
+    coeffs[-1] = coeffs[-1] or rng.choice((-1, 1))
+    return IntPolynomial(tuple(coeffs))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        LEHMER,
+        SALEM10,
+        IntPolynomial((1, 0, -10, 0, 1)),  # x^4 - 10x^2 + 1, minpoly of sqrt2 + sqrt3
+        cyclotomic(8),
+        cyclotomic(12),
+    ],
+)
+def test_check_irreducible_reducible_mod_every_prime(f):
+    """Each of these factors mod every prime, so no mod-p test proves it."""
+    assert check_irreducible(f) == PROVEN
+
+
+def test_check_irreducible_never_lies_seeded():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        g, h = _random_poly(rng, 1, 4), _random_poly(rng, 1, 4)
+        assert check_irreducible(g * h) == UNKNOWN, (g, h)
+        assert check_irreducible(g * g) == UNKNOWN, g
+
+
+def test_check_irreducible_agrees_with_mod_p_oracle():
+    """Irreducible mod a prime not dividing the leading coefficient implies
+    irreducible over Q, so every such polynomial must be PROVEN."""
+    primes = [p for p in range(2, 40) if all(p % q for q in range(2, p))]
+    rng = random.Random(7)
+    fired = 0
+    for _ in range(200):
+        g = _random_poly(rng, 1, 6)
+        for p in primes:
+            if g.leading % p == 0:
+                continue
+            if gf_irreducible_p(gf_from_int_poly(list(reversed(g.coeffs)), p), p, ZZ):
+                assert check_irreducible(g) == PROVEN, (g, p)
+                fired += 1
+                break
+    assert fired > 50
+
+
+def test_gcd_and_exact_division_seeded():
+    rng = random.Random(4)
+    for _ in range(200):
+        a, b, c = (_random_poly(rng, 0, 4) for _ in range(3))
+        ac, bc = a * c, b * c
+        g = poly_gcd(ac, bc)
+        assert g.exact_div(c.primitive_part()) is not None, (a, b, c)
+        assert ac.exact_div(g) is not None and bc.exact_div(g) is not None
+        assert ac.exact_div(c) == a
+        if c.degree >= 1:
+            assert not is_squarefree(a * c * c)
+
+
+def test_exact_div_outside_integer_polynomials():
+    # (x^2 - 1) / (2x - 2) = (x + 1)/2 lies in Q[x] but not in Z[x]
+    assert IntPolynomial((-1, 0, 1)).exact_div(IntPolynomial((-2, 2))) is None
+    assert IntPolynomial((-1, 1)).exact_div(IntPolynomial((-1, 0, 1))) is None
+    assert IntPolynomial((2, 4)).exact_div(IntPolynomial((2,))) == IntPolynomial((1, 2))
