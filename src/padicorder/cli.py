@@ -16,10 +16,11 @@ from fractions import Fraction
 from .algnum import AlgebraicNumberSpec
 from .errors import PadicOrderError, ParseError
 from .haar import Cylinder, PolyDensity, cylinder_measure, integrate
-from .intpoly import check_irreducible
+from .intpoly import IntPolynomial, check_irreducible, root_of_unity_order
 from .places import (
     RootOfUnity,
     Witness,
+    _conditionality,
     _frac_str,
     find_witness,
     verify_witness_certificate,
@@ -180,13 +181,13 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def cmd_tile(args) -> int:
-    balanced, ledger = verify_shell_tiling(args.prime, args.scale, args.range)
-    doc = {
+def _tile_doc(p: int, s: int, m_range: int) -> dict:
+    balanced, ledger = verify_shell_tiling(p, s, m_range)
+    return {
         "kind": "tile",
-        "prime": args.prime,
-        "scale": args.scale,
-        "m_range": args.range,
+        "prime": p,
+        "scale": s,
+        "m_range": m_range,
         "balanced": balanced,
         "mu_A": _frac_str(ledger["mu_A"]),
         "total": _frac_str(ledger["total"]),
@@ -196,17 +197,21 @@ def cmd_tile(args) -> int:
             for e in ledger["per_N"]
         ],
     }
+
+
+def cmd_tile(args) -> int:
+    doc = _tile_doc(args.prime, args.scale, args.range)
     _emit(
         doc,
         args.json,
         [
-            f"shell A = {{1 <= |y| < {args.prime}^{args.scale}}}, mu(A) = {_frac_str(ledger['mu_A'])}",
-            f"sum over N in [-{args.range}, {args.range}]: {_frac_str(ledger['total'])}",
-            f"annulus measure (independent): {_frac_str(ledger['annulus'])}",
-            f"balanced: {balanced}",
+            f"shell A = {{1 <= |y| < {args.prime}^{args.scale}}}, mu(A) = {doc['mu_A']}",
+            f"sum over N in [-{args.range}, {args.range}]: {doc['total']}",
+            f"annulus measure (independent): {doc['annulus']}",
+            f"balanced: {doc['balanced']}",
         ],
     )
-    return 0 if balanced else 2
+    return 0 if doc["balanced"] else 2
 
 
 def _verify_order_doc(doc: dict) -> bool:
@@ -216,8 +221,6 @@ def _verify_order_doc(doc: dict) -> bool:
             [[Fraction(x) for x in row] for row in inp["matrix"]]
         )
     else:
-        from .intpoly import IntPolynomial
-
         specs = [
             AlgebraicNumberSpec.from_poly(
                 IntPolynomial.from_coeffs([int(c) for c in coeffs]), prove=True
@@ -225,10 +228,7 @@ def _verify_order_doc(doc: dict) -> bool:
             for coeffs in inp["eigenvalue_polys"]
         ]
         spec = ProjAutSpec.from_eigenvalues(specs)
-    verdict = spec.certify()
-    if ("finite" if verdict.is_finite else "infinite") != doc["verdict"]:
-        return False
-    if verdict.is_finite and verdict.order != doc.get("order"):
+    if _verdict_doc(spec.certify(), inp) != doc:
         return False
     if "certificate" in doc:
         return verify_witness_certificate(witness_cert_from_doc(doc["certificate"]))
@@ -236,21 +236,21 @@ def _verify_order_doc(doc: dict) -> bool:
 
 
 def _verify_witness_doc(doc: dict) -> bool:
-    if doc.get("case") == "root_of_unity":
-        from .intpoly import IntPolynomial, root_of_unity_order
-
-        f = IntPolynomial.from_coeffs([int(c) for c in doc["alpha_poly"]])
+    f = IntPolynomial.from_coeffs([int(c) for c in doc["alpha_poly"]])
+    status = check_irreducible(f)
+    if doc["irreducibility"] != status:
+        return False
+    if doc["conditionality"] != _conditionality(f, status):
+        return False
+    if doc["case"] == "root_of_unity":
         return root_of_unity_order(f) == doc["order"]
-    return verify_witness_certificate(witness_cert_from_doc(doc))
+    return doc["case"] == "witness" and verify_witness_certificate(
+        witness_cert_from_doc(doc)
+    )
 
 
 def _verify_tile_doc(doc: dict) -> bool:
-    balanced, ledger = verify_shell_tiling(doc["prime"], doc["scale"], doc["m_range"])
-    return (
-        balanced == doc["balanced"]
-        and _frac_str(ledger["total"]) == doc["total"]
-        and _frac_str(ledger["annulus"]) == doc["annulus"]
-    )
+    return _tile_doc(doc["prime"], doc["scale"], doc["m_range"]) == doc
 
 
 def _verify_integral_doc(doc: dict) -> bool:
@@ -267,7 +267,8 @@ def _verify_integral_doc(doc: dict) -> bool:
     claimed = RationalInterval(
         Fraction(doc["interval"]["lo"]), Fraction(doc["interval"]["hi"])
     )
-    return interval.intersects(claimed)
+    approx = [float(interval.lo), float(interval.hi)]
+    return interval.intersects(claimed) and doc["approx"] == approx
 
 
 def cmd_verify(args) -> int:
@@ -276,17 +277,26 @@ def cmd_verify(args) -> int:
     else:
         with open(args.file) as fh:
             doc = json.load(fh)
-    kind = doc.get("kind") or ("witness" if "case" in doc else None)
+    kind = None
+    if isinstance(doc, dict):
+        kind = doc.get("kind") or ("witness" if "case" in doc else None)
     checkers = {
         "order": _verify_order_doc,
         "witness": _verify_witness_doc,
         "tile": _verify_tile_doc,
         "integral": _verify_integral_doc,
     }
-    if kind not in checkers:
+    if not isinstance(kind, str) or kind not in checkers:
         print(f"unknown certificate kind {kind!r}", file=sys.stderr)
         return 1
-    ok = checkers[kind](doc)
+    try:
+        ok = checkers[kind](doc)
+    except (
+        ArithmeticError, AttributeError, LookupError, TypeError, ValueError, PadicOrderError
+    ) as exc:
+        # a field is missing, mistyped or out of range
+        print(f"malformed {kind} certificate: {exc!r}", file=sys.stderr)
+        ok = False
     print(f"certificate {'VALID' if ok else 'INVALID'} ({kind})")
     return 0 if ok else 2
 

@@ -260,11 +260,6 @@ def _scale_bits(p: int, max_depth: int) -> int:
     return (max_depth + 2) * max(p.bit_length(), 1)
 
 
-def _density_enclosure(p, valuation, m, bits) -> RationalInterval:
-    """Enclosure of p^(-valuation/m)."""
-    return p_power_enclosure(p, Fraction(-valuation, m), bits)
-
-
 def integrate(
     d: PolyDensity, region: Cylinder, max_depth: int
 ) -> RationalInterval:
@@ -273,42 +268,41 @@ def integrate(
     Subdivides into residue-class cylinders; on a depth-k cylinder with
     center a and v_p(f(a)) < k the valuation of f is constant (because
     f(x) = f(a) mod p^k for p-integral f), so the contribution is exact.
-    Cylinders unresolved at max_depth contribute [0, p^(-D/m) * measure].
+    The walk tallies the exact measure of the resolved cylinders per
+    valuation v, and of the cylinders still unresolved at max_depth;
+    then each tally is scaled by one enclosure of p^(-v/m), and the
+    unresolved one by [0, p^(-D/m)].
 
-    Coefficients only need to be p-integral up to a power of p: the
-    p-part of the denominators is cleared first and the integral scaled
-    by the corresponding exact power of |1/p^t| = p^t.
+    Coefficients only need to be p-integral up to a power of p: f is
+    scaled by p^t, with t = max(0, -min v_p(coefficient)), and the
+    integral by the enclosure of |1/p^t|^(1/m) = p^(t/m).
     """
     p, m = region.prime, d.root_index
     if max_depth <= region.depth:
         raise DepthZero("max_depth must exceed the region depth")
-    f = d.f
-    if f.nvars != region.dimension:
+    if d.f.nvars != region.dimension:
         raise NonIntegralDensity(
-            f"density has {f.nvars} variables, region has {region.dimension}"
+            f"density has {d.f.nvars} variables, region has {region.dimension}"
         )
-    tmin = f.min_p_valuation(p)
-    scale = RationalInterval.point(1)
-    if tmin < 0:
-        t = -int(tmin)
-        f = f.scale(Fraction(p) ** t)
-        scale = _density_enclosure(p, -Fraction(t), m, _scale_bits(p, max_depth))
+    t = max(0, -d.f.min_p_valuation(p))
+    f = d.f.scale(Fraction(p) ** t)
     bits = _scale_bits(p, max_depth)
-
-    def go(cyl: Cylinder) -> RationalInterval:
-        fa = f(cyl.center)
-        v = rational_valuation(fa, p)
-        if v is not INF and v < cyl.depth:
-            return _density_enclosure(p, v, m, bits).scale(cyl.measure())
-        if cyl.depth >= max_depth:
-            hi = _density_enclosure(p, max_depth, m, bits).hi * cyl.measure()
-            return RationalInterval(Fraction(0), hi)
-        total = RationalInterval.point(0)
-        for child in cyl.children():
-            total = total + go(child)
-        return total
-
-    return go(region) * scale
+    tally: dict = {}  # valuation -> exact measure; None -> unresolved
+    stack = [region]
+    while stack:
+        cyl = stack.pop()
+        v = rational_valuation(f(cyl.center), p)
+        if v is INF or v >= cyl.depth:
+            if cyl.depth < max_depth:
+                stack.extend(cyl.children())
+                continue
+            v = None
+        tally[v] = tally.get(v, 0) + cyl.measure()
+    total = RationalInterval.point(0)
+    for v, mu in tally.items():
+        e = p_power_enclosure(p, Fraction(-(max_depth if v is None else v), m), bits)
+        total = total + RationalInterval(0 if v is None else e.lo * mu, e.hi * mu)
+    return total * p_power_enclosure(p, Fraction(t, m), bits)
 
 
 def pushforward_cylinder_measure(
@@ -348,46 +342,21 @@ def pushforward_cylinder_measure(
     return split(source)
 
 
-def _unit_jacobian_condition(phi: PolyMap, p: int) -> bool:
-    """Sufficient condition: det J has a unit constant term and all other
-    coefficients in pZp; rejects some valid maps, accepts no invalid one.
+def _measure_preserving(phi: PolyMap, p: int) -> bool:
+    """Sufficient condition for phi to be a measure-preserving bijection
+    of Zp^n: p-integral coefficients, every coefficient of total degree
+    >= 2 in pZp, and det J(0), the determinant of the linear part, a
+    p-adic unit.  Then every non-constant coefficient of det J lies in
+    pZp, so |det J| = 1 on Zp^n.  Rejects some valid maps, accepts no
+    invalid one; raises ValueError for a non-square map.
     """
-    det = phi.jacobian_det()
-    for e, c in det.terms:
-        v = rational_valuation(c, p)
-        if sum(e) == 0:
-            if v != 0:
-                return False
-        elif v < 1:
-            return False
-    if not any(sum(e) == 0 for e, _ in det.terms):
-        return False
-    return True
-
-
-def _bijective_on_polydisc(phi: PolyMap, p: int) -> bool:
-    """Structural condition making phi a bijection of Zp^n: p-integral
-    coefficients, linear part invertible mod p, and every coefficient of
-    total degree >= 2 divisible by p (constant translations are fine).
-    """
-    n = phi.source_dim
-    if phi.target_dim != n:
-        return False
-    linear = [[MultiPoly.constant(n, 0)] * n for _ in range(n)]
-    for i, comp in enumerate(phi.components):
+    det0 = phi.jacobian_det()((Fraction(0),) * phi.source_dim)
+    for comp in phi.components:
         for e, c in comp.terms:
             v = rational_valuation(c, p)
-            if v < 0:
+            if v < 0 or (v < 1 and sum(e) >= 2):
                 return False
-            deg = sum(e)
-            if deg >= 2 and v < 1:
-                return False
-            if deg == 1:
-                j = e.index(1)
-                linear[i][j] = MultiPoly.constant(n, c)
-    det_lin = _det(linear)
-    value = det_lin((Fraction(0),) * n)
-    return value != 0 and rational_valuation(value, p) == 0
+    return rational_valuation(det0, p) == 0
 
 
 def change_of_variables_check(
@@ -403,7 +372,7 @@ def change_of_variables_check(
     from .errors import NonUnitJacobian
 
     n = phi.source_dim
-    if not (_unit_jacobian_condition(phi, p) and _bijective_on_polydisc(phi, p)):
+    if not _measure_preserving(phi, p):
         raise NonUnitJacobian(
             "map does not satisfy the unit-Jacobian sufficient condition"
         )
@@ -429,8 +398,8 @@ def scaling_law_check(
     p, m = region.prime, d.root_index
     lhs = integrate(PolyDensity(d.f.scale(c), m), region, max_depth)
     base = integrate(d, region, max_depth)
-    factor = _density_enclosure(
-        p, rational_valuation(c, p), m, _scale_bits(p, max_depth)
+    factor = p_power_enclosure(
+        p, Fraction(-rational_valuation(c, p), m), _scale_bits(p, max_depth)
     )
     rhs = base * factor
     return lhs.intersects(rhs), lhs, rhs

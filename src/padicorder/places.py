@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint
+from sympy import factorint, isprime
 
 from .algnum import AlgebraicNumberSpec, UNCHECKED
 from .errors import MaxPrecisionExceeded, NotSquarefree, ZeroRoot
@@ -154,37 +154,43 @@ def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     raise AssertionError("no positive slope found for non-monic primitive input")
 
 
-def archimedean_witness(
-    f: IntPolynomial,
-    initial_eps: Fraction = Fraction(1, 4),
-    max_doublings: int = 40,
-    conditionality: str = UNCONDITIONAL,
-):
-    """Isolate roots with doubling precision until one box certifies
+def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
+    """Isolate the roots once and return the first box that certifies
     modulus > 1 by exact comparison of |box|^2 bounds against 1.
+
+    The width eps = (h - 1)/2, with 1 < h <= 2^(1/(4n)), suffices: by
+    Dimitrov's proof of the Schinzel-Zassenhaus conjecture (2019), a
+    nonzero algebraic integer of degree d <= n that is not a root of
+    unity has a conjugate z with |z| >= 2^(1/(4d)) >= h, and every point
+    of a box of width eps around z has modulus >= h - sqrt(2)*eps > 1.
     """
     if not is_squarefree(f):
         raise NotSquarefree(f"{f} has a repeated factor")
     g = f.primitive_part()
-    eps = Fraction(initial_eps)
-    for _ in range(max_doublings):
-        boxes = isolate_roots(g, eps)
-        for idx, box in enumerate(boxes):
-            m2 = box.mod_squared_interval()
-            if m2.lo > 1:
-                place = Place(kind="archimedean", root_box=box, root_index=idx)
-                return WitnessCertificate(
-                    alpha=AlgebraicNumberSpec(g),
-                    place=place,
-                    norm_bound=_rational_sqrt_lower(m2.lo),
-                    modulus_squared=m2,
-                    conditionality=conditionality,
-                )
-        eps /= 2
+    k = 4 * max(g.degree, 1)
+    h = kth_root_enclosure(Fraction(2), k, k.bit_length() + 4).lo
+    for idx, box in enumerate(isolate_roots(g, (h - 1) / 2)):
+        m2 = box.mod_squared_interval()
+        if m2.lo > 1:
+            place = Place(kind="archimedean", root_box=box, root_index=idx)
+            return WitnessCertificate(
+                alpha=AlgebraicNumberSpec(g),
+                place=place,
+                norm_bound=_rational_sqrt_lower(m2.lo),
+                modulus_squared=m2,
+                conditionality=conditionality,
+            )
     raise MaxPrecisionExceeded(
-        f"no witness root after {max_doublings} doublings; the input is "
-        "either non-monic (use the p-adic branch) or a product of cyclotomics"
+        "no isolated root certifies modulus > 1; the input is either "
+        "non-monic (use the p-adic branch) or a product of cyclotomics"
     )
+
+
+def _conditionality(f: IntPolynomial, irreducibility_status: str) -> str:
+    """Unconditional when f is proven irreducible or linear."""
+    if irreducibility_status == PROVEN or f.degree == 1:
+        return UNCONDITIONAL
+    return CONDITIONAL
 
 
 def find_witness(alpha: AlgebraicNumberSpec):
@@ -199,11 +205,7 @@ def find_witness(alpha: AlgebraicNumberSpec):
         raise ZeroRoot("0 is a root; the trichotomy applies to nonzero numbers")
     if not is_squarefree(f):
         raise NotSquarefree(f"{f} has a repeated factor")
-    cond = (
-        UNCONDITIONAL
-        if alpha.irreducibility_status == PROVEN or f.degree == 1
-        else CONDITIONAL
-    )
+    cond = _conditionality(f, alpha.irreducibility_status)
     order = root_of_unity_order(f)
     if order is not None:
         return RootOfUnity(order=order, conditionality=cond)
@@ -234,15 +236,17 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
     f = cert.alpha.defining_poly.primitive_part()
     if cert.norm_bound <= 1:
         return False
+    if cert.slope_convention != SLOPE_CONVENTION:
+        return False
     if cert.place.kind == "non_archimedean":
         p, slope, idx = cert.place.prime, cert.place.slope, cert.place.segment_index
-        if f.leading % p != 0:
+        if not isprime(p) or f.leading % p != 0:
             return False
         np = newton_polygon(f, p)
-        if idx is None or idx >= len(np.segments):
+        if idx is None or not 0 <= idx < len(np.segments):
             return False
         hull_slope = np.segments[idx][0]
-        if hull_slope != slope or slope <= 0:
+        if hull_slope != slope or slope <= 0 or cert.exact_norm != PPower(p, -slope):
             return False
         return cert.norm_bound ** slope.denominator <= p ** slope.numerator
     if cert.place.kind == "archimedean":
@@ -250,7 +254,7 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
         if box is None or not is_squarefree(f):
             return False
         m2 = box.mod_squared_interval()
-        if m2.lo <= 1 or cert.norm_bound**2 > m2.lo:
+        if cert.modulus_squared != m2 or m2.lo <= 1 or cert.norm_bound**2 > m2.lo:
             return False
         # exactly one isolated root inside the claimed box
         inside = 0
@@ -328,34 +332,40 @@ def witness_result_to_doc(result) -> dict:
 
 
 def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
+    """Parse a witness document; raises ValueError for an unknown place type."""
     f = IntPolynomial.from_coeffs([int(c) for c in doc["alpha_poly"]])
-    place_doc = doc["place"]
+    alpha = AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNCHECKED))
+    place_doc, norm_doc = doc["place"], doc["norm_bound"]
+    common = dict(
+        conditionality=doc["conditionality"],
+        slope_convention=doc["slope_convention"],
+    )
     if place_doc["type"] == "non_archimedean":
-        slope = Fraction(place_doc["slope"])
-        p = int(place_doc["prime"])
         place = Place(
             kind="non_archimedean",
-            prime=p,
-            slope=slope,
+            prime=int(place_doc["prime"]),
+            slope=Fraction(place_doc["slope"]),
             segment_index=int(place_doc["segment_index"]),
         )
-        exp = Fraction(doc["norm_bound"]["exponent"])
+        p, exp = int(norm_doc["p"]), Fraction(norm_doc["exponent"])
         return WitnessCertificate(
-            alpha=AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNCHECKED)),
+            alpha=alpha,
             place=place,
             norm_bound=p_power_enclosure(p, exp, 32).lo,
             exact_norm=PPower(p, -exp),
-            conditionality=doc["conditionality"],
+            **common,
         )
-    box = _box_from_doc(place_doc["box"])
+    if place_doc["type"] != "archimedean":
+        raise ValueError(f"unknown place type {place_doc['type']!r}")
     place = Place(
-        kind="archimedean", root_box=box, root_index=int(place_doc["root_index"])
+        kind="archimedean",
+        root_box=_box_from_doc(place_doc["box"]),
+        root_index=int(place_doc["root_index"]),
     )
-    bound = Fraction(int(doc["norm_bound"]["num"]), int(doc["norm_bound"]["den"]))
     return WitnessCertificate(
-        alpha=AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNCHECKED)),
+        alpha=alpha,
         place=place,
-        norm_bound=bound,
+        norm_bound=Fraction(int(norm_doc["num"]), int(norm_doc["den"])),
         modulus_squared=_interval_from_doc(doc["modulus_squared"]),
-        conditionality=doc["conditionality"],
+        **common,
     )

@@ -207,3 +207,70 @@ def test_scaling_law():
         Fraction(5), PolyDensity(X, 2), Cylinder.unit_polydisc(5), 8
     )
     assert overlap
+
+
+# Endpoints written by the recursive per-cylinder interval sum that the
+# per-valuation tally replaced; the tally must reproduce them exactly.
+GOLDEN = [
+    ("x", 1, 3, 12, 1, "70607384120/94143178827", "211822152361/282429536481"),
+    ("x1*x2", 2, 2, 8, 1, "7281/16384", "29129/65536"),
+    ("x1^2-x2^3", 2, 3, 6, 1, "388732/531441", "1166207/1594323"),
+    ("x1*x2-x3", 3, 5, 2, 1, "104/125", "521/625"),
+    ("x", 1, 3, 8, 2, "25557651121/30958682112", "230019450797/278628139008"),
+    ("x/9 + 1/3", 1, 3, 6, 1, "132860/19683", "398581/59049"),
+    ("x1*x2/4 - x1/2", 2, 2, 6, 2, "2485267/2097152", "1259031/1048576"),
+]
+
+
+@pytest.mark.parametrize("text,n,p,depth,m,lo,hi", GOLDEN)
+def test_integrate_golden_endpoints(text, n, p, depth, m, lo, hi):
+    from padicorder.parsing import parse_multipoly
+
+    f = parse_multipoly(text, n)
+    lib = integrate(PolyDensity(f, m), Cylinder.unit_polydisc(p, n), depth)
+    assert (lib.lo, lib.hi) == (Fraction(lo), Fraction(hi))
+
+
+def test_integrate_deep_subdivision():
+    # the walk keeps its own stack, so depth is not bounded by recursion
+    lib = integrate(PolyDensity(X, 1), Cylinder.unit_polydisc(3), 1100)
+    assert lib.contains(Fraction(3, 4))
+    assert 0 < lib.width <= Fraction(1, 3**1100)
+
+
+def _poly2(d):
+    return MultiPoly.from_dict(2, {e: Fraction(c) for e, c in d.items()})
+
+
+def test_change_of_variables_2d_unit_linear_part():
+    # linear part [[1, 2], [1, 1]] has det -1; quadratic terms lie in 3Z_3
+    phi = PolyMap(
+        (
+            _poly2({(1, 0): 1, (0, 1): 2, (2, 0): 3}),
+            _poly2({(1, 0): 1, (0, 1): 1, (1, 1): -6, (0, 0): 1}),
+        )
+    )
+    d = PolyDensity(_poly2({(1, 1): 1}), 1)
+    overlap, lhs, rhs = change_of_variables_check(phi, d, 3, 4)
+    assert overlap
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # x + x^2 at p=3: the quadratic coefficient is a unit
+        PolyMap((MultiPoly.univariate([Fraction(0), Fraction(1), Fraction(1)]),)),
+        # linear part [[1, 1], [1, 4]], det 3 = 0 mod 3
+        PolyMap((_poly2({(1, 0): 1, (0, 1): 1}), _poly2({(1, 0): 1, (0, 1): 4}))),
+    ],
+)
+def test_change_of_variables_rejects(phi):
+    d = PolyDensity(MultiPoly.variable(phi.source_dim, 0), 1)
+    with pytest.raises(NonUnitJacobian):
+        change_of_variables_check(phi, d, 3, 4)
+
+
+def test_change_of_variables_non_square_map_raises_value_error():
+    phi = PolyMap((_poly2({(1, 0): 1}), _poly2({(0, 1): 1}), _poly2({(1, 1): 3})))
+    with pytest.raises(ValueError):
+        change_of_variables_check(phi, PolyDensity(_poly2({(1, 0): 1}), 1), 3, 4)

@@ -175,3 +175,45 @@ def test_verify_rejects_box_holding_two_roots():
     )
     assert m2.lo > 1 and cert.norm_bound**2 <= m2.lo  # only the root count fails
     assert not verify_witness_certificate(cert)
+
+
+def test_archimedean_witness_isolates_once(monkeypatch):
+    import padicorder.places as places
+
+    calls = []
+    real = places.isolate_roots
+
+    def counting(f, eps):
+        calls.append(eps)
+        return real(f, eps)
+
+    monkeypatch.setattr(places, "isolate_roots", counting)
+    cert = places.archimedean_witness(LEHMER)
+    assert len(calls) == 1
+    assert cert.modulus_squared.lo > 1
+    assert verify_witness_certificate(cert)
+
+
+def test_archimedean_witness_no_root_outside_unit_circle():
+    from padicorder import MaxPrecisionExceeded, archimedean_witness
+
+    with pytest.raises(MaxPrecisionExceeded):
+        archimedean_witness(IntPolynomial((-1, 2)))  # 2x - 1, root 1/2
+
+
+def test_padic_norm_bound_read_from_both_fields():
+    cert = padic_witness(IntPolynomial((5, -6, 5)))
+    doc = witness_result_to_doc(Witness(cert))
+    assert witness_cert_from_doc(doc).exact_norm == PPower(5, Fraction(-1))
+    doc["norm_bound"]["p"] = 7
+    parsed = witness_cert_from_doc(doc)
+    assert parsed.exact_norm == PPower(7, Fraction(-1))
+    assert not verify_witness_certificate(parsed)
+
+
+def test_unknown_place_type_raises():
+    res = find_witness(AlgebraicNumberSpec.from_poly(IntPolynomial((-1, -1, 1))))
+    doc = witness_result_to_doc(res)
+    doc["place"]["type"] = "archimedian"
+    with pytest.raises(ValueError):
+        witness_cert_from_doc(doc)

@@ -1,0 +1,268 @@
+"""`padicorder verify`: every field a verifier reads is checked, and a
+malformed document answers INVALID (exit 2) instead of crashing."""
+
+import contextlib
+import copy
+import io
+import json
+import random
+import string
+from fractions import Fraction
+
+import pytest
+
+from padicorder.cli import main
+
+LEHMER = "x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"
+
+# One honest document per kind and branch.
+HONEST_ARGV = {
+    "witness_padic": ("witness", "[5,-6,5]"),
+    "witness_arch": ("witness", "x^2 - x - 1"),
+    "witness_rou": ("witness", "x^2 - x + 1"),
+    "order_finite": ("order", "--matrix", "0,-1;1,0"),
+    "order_jordan": ("order", "--matrix", "1,1;0,1"),
+    "order_witness": ("order", "--eigenvalues", "[5,-6,5]"),
+    "tile": ("tile", "--prime", "2", "--scale", "2", "--range", "3"),
+    "integral": (
+        "integrate", "--prime", "2", "--density", "x^2 - 1", "--depth", "6",
+        "--center", "0", "--region-depth", "1",
+    ),
+}
+
+
+def produce(capsys, *argv):
+    main(["--json", *argv])
+    return json.loads(capsys.readouterr().out)
+
+
+def verify(capsys, tmp_path, doc):
+    """Exit code and output of `verify` on a document (any JSON value)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
+
+
+@pytest.fixture(scope="module")
+def honest_docs():
+    docs = {}
+    for name, argv in HONEST_ARGV.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["--json", *argv])
+        docs[name] = json.loads(buf.getvalue())
+    return docs
+
+
+# --- fields the verifiers used to ignore or misread --------------------------
+
+
+def test_honest_documents_verify(capsys, tmp_path, honest_docs):
+    for name, doc in honest_docs.items():
+        assert verify(capsys, tmp_path, doc)[0] == 0, name
+
+
+def test_segment_index_minus_one_rejected(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_padic"])
+    assert doc["place"]["segment_index"] == 1  # the last of two segments
+    doc["place"]["segment_index"] = -1
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_modulus_squared_must_match_box(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_arch"])
+    doc["modulus_squared"] = ["100/1", "200/1"]
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+@pytest.mark.parametrize("field,value", [("p", 7), ("exponent", "1/2")])
+def test_padic_norm_bound_fields_checked(capsys, tmp_path, honest_docs, field, value):
+    # a weaker exponent still gives a true bound; it is rejected because
+    # the document's exact norm must be p^slope
+    doc = copy.deepcopy(honest_docs["witness_padic"])
+    doc["norm_bound"][field] = value
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_non_prime_place_rejected(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_padic"])
+    doc["place"]["prime"] = 1
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_unknown_place_type_rejected(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_arch"])
+    doc["place"]["type"] = "ultrametric"
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_slope_convention_checked(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_padic"])
+    doc["slope_convention"] = "root valuation = slope"
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_irreducibility_is_rederived(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_arch"])
+    assert doc["irreducibility"] == "Proven"
+    doc["irreducibility"] = "Unknown"
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_conditionality_is_rederived_for_reducible_input(capsys, tmp_path):
+    # (x^2 - x - 1)(x^2 + 1) is squarefree and reducible, so its witness
+    # is conditional; claiming it unconditional must fail
+    doc = produce(capsys, "witness", "x^4 - x^3 - x - 1")
+    assert doc["conditionality"] == "ConditionalOnIrreducibility"
+    assert doc["irreducibility"] == "Unknown"
+    assert verify(capsys, tmp_path, doc)[0] == 0
+    doc["conditionality"] = "Unconditional"
+    assert verify(capsys, tmp_path, doc)[0] == 2
+    doc["irreducibility"] = "Proven"
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_root_of_unity_conditionality_checked(capsys, tmp_path, honest_docs):
+    doc = copy.deepcopy(honest_docs["witness_rou"])
+    doc["conditionality"] = "ConditionalOnIrreducibility"
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+def test_lehmer_conditionality_flip_is_the_honest_document(capsys, tmp_path):
+    doc = produce(capsys, "witness", LEHMER)
+    forged = dict(doc, conditionality="Unconditional", irreducibility="Proven")
+    assert forged == doc
+    assert verify(capsys, tmp_path, forged)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "name,field,value",
+    [
+        ("order_jordan", "conditionality", "ConditionalOnIrreducibility"),
+        ("order_jordan", "reason", "EigenvalueWitness"),
+        ("order_witness", "reason", "NotSemisimple"),
+        ("order_witness", "conditionality", "ConditionalOnIrreducibility"),
+    ],
+)
+def test_order_conditionality_and_reason_checked(
+    capsys, tmp_path, honest_docs, name, field, value
+):
+    doc = copy.deepcopy(honest_docs[name])
+    assert doc[field] != value
+    doc[field] = value
+    assert verify(capsys, tmp_path, doc)[0] == 2
+
+
+# --- malformed documents ------------------------------------------------------
+
+
+DELETE = object()
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the field at path set to value, or deleted."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name,path,value",
+    [
+        ("witness_arch", ("place", "box"), DELETE),
+        ("witness_arch", ("norm_bound", "den"), "0"),
+        ("witness_padic", ("place", "segment_index"), None),
+        ("witness_rou", ("alpha_poly",), DELETE),
+        ("order_finite", ("input",), {}),
+    ],
+)
+def test_malformed_document_is_invalid(capsys, tmp_path, honest_docs, name, path, value):
+    code, out = verify(capsys, tmp_path, _mutated(honest_docs[name], path, value))
+    assert code == 2 and "INVALID" in out and "malformed" in out
+
+
+@pytest.mark.parametrize("value", [[], [1, 2], "witness", 3, None])
+def test_non_object_is_unknown_kind(capsys, tmp_path, value):
+    code, out = verify(capsys, tmp_path, value)
+    assert code == 1 and "unknown certificate kind" in out
+
+
+def test_bad_json_exit_1(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["verify", str(path)]) == 1
+
+
+# --- seeded tamper suite ------------------------------------------------------
+
+# Mutations that still verify, because no verifier checks them:
+# - the archimedean witness's place.root_index (the box alone is checked);
+# - a widened integral interval: the claim only has to intersect the
+#   recomputed enclosure, and an integer endpoint of -1 widens it.
+KNOWN_UNVERIFIED = {
+    ("witness_arch", ("place", "root_index")),
+    ("integral", ("interval", "lo")),
+}
+
+
+def _paths(node, prefix=()):
+    """Every path into the document except the top-level `kind`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        path = prefix + (key,)
+        if path == ("kind",):
+            continue
+        yield path
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path)
+
+
+def _as_number(x):
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        return x
+
+
+# Input fields in which any integer or rational is a valid value: there,
+# -1 or a dropped list entry is another honest input, not a tampered one.
+ANY_RATIONAL = {("alpha_poly",), ("input",), ("region", "center")}
+
+
+def _mutations(rng, path, old):
+    """Missing, null, mistyped and out-of-range values for one field; a
+    value equal to the old one (-1 for "-1/1") is no mutation."""
+    junk = "".join(rng.choice(string.ascii_letters + "/-") for _ in range(rng.randint(1, 6)))
+    out = [None, "junk", junk, "1/0", [], {"junk": 1}]
+    if not any(path[: len(p)] == p for p in ANY_RATIONAL):
+        out += [DELETE, -1]
+    elif isinstance(path[-1], str):
+        out.append(DELETE)
+    return [v for v in out if v is DELETE or _as_number(v) != _as_number(old)]
+
+
+@pytest.mark.parametrize("name", sorted(HONEST_ARGV))
+def test_tamper_every_field(capsys, tmp_path, honest_docs, name):
+    rng = random.Random(f"tamper-{name}")
+    doc = honest_docs[name]
+    tried = 0
+    for path in _paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        for value in _mutations(rng, path, node):
+            code, out = verify(capsys, tmp_path, _mutated(doc, path, value))
+            tried += 1
+            if (name, path) in KNOWN_UNVERIFIED and value == -1:
+                assert code == 0, (path, value)
+                continue
+            assert code == 2 and "INVALID" in out, (path, value)
+    assert tried > 20
