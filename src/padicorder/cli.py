@@ -22,6 +22,7 @@ from .places import (
     Witness,
     _conditionality,
     _frac_str,
+    _int,
     find_witness,
     verify_witness_certificate,
     witness_cert_from_doc,
@@ -223,7 +224,7 @@ def _verify_order_doc(doc: dict) -> bool:
     else:
         specs = [
             AlgebraicNumberSpec.from_poly(
-                IntPolynomial.from_coeffs([int(c) for c in coeffs]), prove=True
+                IntPolynomial.from_coeffs([_int(c) for c in coeffs]), prove=True
             )
             for coeffs in inp["eigenvalue_polys"]
         ]
@@ -236,7 +237,7 @@ def _verify_order_doc(doc: dict) -> bool:
 
 
 def _verify_witness_doc(doc: dict) -> bool:
-    f = IntPolynomial.from_coeffs([int(c) for c in doc["alpha_poly"]])
+    f = IntPolynomial.from_coeffs([_int(c) for c in doc["alpha_poly"]])
     status = check_irreducible(f)
     if doc["irreducibility"] != status:
         return False
@@ -256,14 +257,14 @@ def _verify_tile_doc(doc: dict) -> bool:
 def _verify_integral_doc(doc: dict) -> bool:
     from .intervals import RationalInterval
 
-    f = parsing.parse_multipoly(doc["density"], doc["region"]["dim"])
+    f = parsing.parse_multipoly(doc["density"], _int(doc["region"]["dim"]))
     region = Cylinder(
-        doc["prime"],
-        doc["region"]["dim"],
+        _int(doc["prime"]),
+        _int(doc["region"]["dim"]),
         tuple(Fraction(c) for c in doc["region"]["center"]),
-        doc["region"]["depth"],
+        _int(doc["region"]["depth"]),
     )
-    interval = integrate(PolyDensity(f, doc["root_index"]), region, doc["depth"])
+    interval = integrate(PolyDensity(f, _int(doc["root_index"])), region, _int(doc["depth"]))
     claimed = RationalInterval(
         Fraction(doc["interval"]["lo"]), Fraction(doc["interval"]["hi"])
     )

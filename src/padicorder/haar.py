@@ -3,19 +3,21 @@
 Regions are cylinders ``center + p^depth * Zp^n`` with the normalization
 mu(Zp^n) = 1, so a depth-m cylinder has measure exactly p^(-m*n).
 Densities are |f|^(1/m) for a rational-coefficient polynomial f; their
-integrals are computed by residue-class subdivision and returned as
-certified rational enclosures.
+integrals are computed by residue-class subdivision on integers mod
+p^depth and returned as certified rational enclosures.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DepthZero, NonIntegralDensity
 from .intervals import RationalInterval, p_power_enclosure
-from .padic import rational_valuation, INF, _check_prime
+from .padic import padic_valuation, rational_valuation, INF, _check_prime
 
 
 # --- multivariate polynomials over Q ---------------------------------------
@@ -268,38 +270,55 @@ def integrate(
     Subdivides into residue-class cylinders; on a depth-k cylinder with
     center a and v_p(f(a)) < k the valuation of f is constant (because
     f(x) = f(a) mod p^k for p-integral f), so the contribution is exact.
-    The walk tallies the exact measure of the resolved cylinders per
-    valuation v, and of the cylinders still unresolved at max_depth;
-    then each tally is scaled by one enclosure of p^(-v/m), and the
-    unresolved one by [0, p^(-D/m)].
+    The walk tallies the measure of the resolved cylinders per valuation
+    v, and of those still unresolved at max_depth; then each tally is
+    scaled by one enclosure of p^(-v/m), the unresolved one by [0, p^(-D/m)].
 
-    Coefficients only need to be p-integral up to a power of p: f is
-    scaled by p^t, with t = max(0, -min v_p(coefficient)), and the
-    integral by the enclosure of |1/p^t|^(1/m) = p^(t/m).
+    f is scaled by p^t, t = max(0, -min v_p(coefficient)), and the integral
+    by the enclosure of p^(t/m); then by the p-unit lcm of its denominators,
+    which changes no valuation.  The walk runs on ints mod q = p^D, with the
+    coefficients and the center (num * den^-1) reduced mod q.  As f(a') = f(a)
+    mod q for a' = a mod q, v_p(f(a)) < D is read exactly from the residue,
+    and residue 0 means v_p >= D >= k, where a walk on rational centers also
+    subdivides or leaves the cylinder unresolved: the endpoints are the same.
     """
-    p, m = region.prime, d.root_index
+    p, m, n = region.prime, d.root_index, region.dimension
     if max_depth <= region.depth:
         raise DepthZero("max_depth must exceed the region depth")
-    if d.f.nvars != region.dimension:
-        raise NonIntegralDensity(
-            f"density has {d.f.nvars} variables, region has {region.dimension}"
-        )
+    if d.f.nvars != n:
+        raise NonIntegralDensity(f"density has {d.f.nvars} variables, region has {n}")
     t = max(0, -d.f.min_p_valuation(p))
     f = d.f.scale(Fraction(p) ** t)
-    bits = _scale_bits(p, max_depth)
-    tally: dict = {}  # valuation -> exact measure; None -> unresolved
-    stack = [region]
+    q = p**max_depth
+    lcm = math.lcm(*(c.denominator for _, c in f.terms))
+    terms = [(e, c.numerator * (lcm // c.denominator) % q) for e, c in f.terms]
+    center = tuple(c.numerator * pow(c.denominator, -1, q) % q for c in region.center)
+    residues = list(itertools.product(range(p), repeat=n))
+    offsets: dict = {}  # depth k -> the child offsets p^k * r
+    tally: dict = {}  # valuation -> measure * p^(n*D); None -> unresolved
+    stack = [(center, region.depth)]
     while stack:
-        cyl = stack.pop()
-        v = rational_valuation(f(cyl.center), p)
-        if v is INF or v >= cyl.depth:
-            if cyl.depth < max_depth:
-                stack.extend(cyl.children())
+        a, k = stack.pop()
+        value = 0
+        for e, c in terms:
+            for x, j in zip(a, e):
+                if j:
+                    c *= pow(x, j, q)
+            value += c
+        value %= q
+        v = padic_valuation(value, p) if value else None
+        if v is None or v >= k:
+            if k < max_depth:
+                if k not in offsets:
+                    offsets[k] = [tuple(p**k * r for r in rs) for rs in residues]
+                stack.extend((tuple(map(add, a, off)), k + 1) for off in offsets[k])
                 continue
             v = None
-        tally[v] = tally.get(v, 0) + cyl.measure()
+        tally[v] = tally.get(v, 0) + p ** (n * (max_depth - k))
+    bits = _scale_bits(p, max_depth)
     total = RationalInterval.point(0)
-    for v, mu in tally.items():
+    for v, count in tally.items():
+        mu = Fraction(count, p ** (n * max_depth))
         e = p_power_enclosure(p, Fraction(-(max_depth if v is None else v), m), bits)
         total = total + RationalInterval(0 if v is None else e.lo * mu, e.hi * mu)
     return total * p_power_enclosure(p, Fraction(t, m), bits)

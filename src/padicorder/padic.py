@@ -25,9 +25,11 @@ def _check_prime(p):
 
 
 def padic_valuation(n: int, p: int) -> int:
-    """v_p(n) for a nonzero integer n."""
+    """v_p(n) for a nonzero integer n; raises ValueError if |p| < 2."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if abs(p) < 2:
+        raise ValueError(f"no valuation at {p}")
     v = 0
     while n % p == 0:
         n //= p

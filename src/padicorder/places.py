@@ -13,6 +13,7 @@ certifies a root of absolute value p^s > 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,6 +271,13 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
 # --- serialization ----------------------------------------------------------
 
 
+def _int(x) -> int:
+    """A certificate integer: an int or a decimal string, never a bool or float."""
+    if type(x) is int or (isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x)):
+        return int(x)
+    raise ValueError(f"not an integer: {x!r}")
+
+
 def _frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -333,7 +341,7 @@ def witness_result_to_doc(result) -> dict:
 
 def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
     """Parse a witness document; raises ValueError for an unknown place type."""
-    f = IntPolynomial.from_coeffs([int(c) for c in doc["alpha_poly"]])
+    f = IntPolynomial.from_coeffs([_int(c) for c in doc["alpha_poly"]])
     alpha = AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNCHECKED))
     place_doc, norm_doc = doc["place"], doc["norm_bound"]
     common = dict(
@@ -343,11 +351,11 @@ def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
     if place_doc["type"] == "non_archimedean":
         place = Place(
             kind="non_archimedean",
-            prime=int(place_doc["prime"]),
+            prime=_int(place_doc["prime"]),
             slope=Fraction(place_doc["slope"]),
-            segment_index=int(place_doc["segment_index"]),
+            segment_index=_int(place_doc["segment_index"]),
         )
-        p, exp = int(norm_doc["p"]), Fraction(norm_doc["exponent"])
+        p, exp = _int(norm_doc["p"]), Fraction(norm_doc["exponent"])
         return WitnessCertificate(
             alpha=alpha,
             place=place,
@@ -360,12 +368,12 @@ def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
     place = Place(
         kind="archimedean",
         root_box=_box_from_doc(place_doc["box"]),
-        root_index=int(place_doc["root_index"]),
+        root_index=_int(place_doc["root_index"]),
     )
     return WitnessCertificate(
         alpha=alpha,
         place=place,
-        norm_bound=Fraction(int(norm_doc["num"]), int(norm_doc["den"])),
+        norm_bound=Fraction(_int(norm_doc["num"]), _int(norm_doc["den"])),
         modulus_squared=_interval_from_doc(doc["modulus_squared"]),
         **common,
     )

@@ -157,3 +157,16 @@ def test_witness_lehmer_unconditional_and_verifies(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     vcode, out, _ = run(capsys, "verify", str(path))
     assert vcode == 0 and "VALID" in out
+
+
+def test_integrate_three_variables_verifies(capsys, tmp_path):
+    code, doc = run_json(
+        capsys, "integrate", "--prime", "5", "--density", "x1*x2-x3",
+        "--dim", "3", "--depth", "3",
+    )
+    assert code == 0
+    assert (doc["interval"]["lo"], doc["interval"]["hi"]) == ("2604/3125", "13021/15625")
+    path = tmp_path / "integral.json"
+    path.write_text(json.dumps(doc))
+    vcode, out, _ = run(capsys, "verify", str(path))
+    assert vcode == 0 and "VALID" in out

@@ -274,3 +274,43 @@ def test_change_of_variables_non_square_map_raises_value_error():
     phi = PolyMap((_poly2({(1, 0): 1}), _poly2({(0, 1): 1}), _poly2({(1, 1): 3})))
     with pytest.raises(ValueError):
         change_of_variables_check(phi, PolyDensity(_poly2({(1, 0): 1}), 1), 3, 4)
+
+
+# Endpoints written by the walk on rational cylinder centers that the walk
+# on integer residues mod p^D replaced: rational centers with p-unit
+# denominators, regions of depth >= 1, m = 3, p in a denominator.
+GOLDEN_REGIONS = [
+    ("x1*x2 - 1", 2, 5, ("1/2", "2/3"), 0, 4, 1, "338541/390625", "1692709/1953125"),
+    ("x^2 - 1/4", 1, 3, ("1/2",), 1, 8, 1, "1195742/14348907", "3587227/43046721"),
+    ("x1*x2 - 6/35", 2, 3, ("2/7", "3/5"), 2, 6, 2, "136759/40310784", "9863167/2902376448"),
+    ("x1^2-x2^3", 2, 2, ("0", "0"), 0, 6, 3, "1646821/2097152", "6669251/8388608"),
+    ("x^3 - 2", 1, 3, ("5/4",), 1, 9, 3, "969389/4194304", "363521/1572864"),
+    ("x1^2/27 - x2/3", 2, 3, ("3/2", "1/4"), 1, 5, 1, "121/729", "365/2187"),
+    (
+        "x^2/5 - 4/5", 1, 5, ("2/11",), 1, 6, 2,
+        "193201298087306439/1099511627776000000",
+        "754697603335650037/4294967296000000000",
+    ),
+    ("x1*x2-x3", 3, 5, ("0", "0", "0"), 0, 3, 1, "2604/3125", "13021/15625"),
+]
+
+
+@pytest.mark.parametrize("text,n,p,center,rdepth,depth,m,lo,hi", GOLDEN_REGIONS)
+def test_integrate_golden_endpoints_on_regions(text, n, p, center, rdepth, depth, m, lo, hi):
+    from padicorder.parsing import parse_multipoly
+
+    region = Cylinder(p, n, tuple(Fraction(c) for c in center), rdepth)
+    lib = integrate(PolyDensity(parse_multipoly(text, n), m), region, depth)
+    assert (lib.lo, lib.hi) == (Fraction(lo), Fraction(hi))
+
+
+def test_integrate_input_checks():
+    from padicorder import NonIntegralDensity
+
+    region = Cylinder(3, 1, (Fraction(1, 2),), 2)
+    with pytest.raises(DepthZero):
+        integrate(PolyDensity(X, 1), region, 2)
+    with pytest.raises(NonIntegralDensity):
+        integrate(PolyDensity(MultiPoly.variable(2, 0), 1), region, 4)
+    with pytest.raises(ValueError, match="p-integral"):
+        Cylinder(3, 1, (Fraction(1, 3),), 1)

@@ -33,6 +33,28 @@ def test_padic_valuation_basic():
         padic_valuation(0, 5)
 
 
+@pytest.mark.parametrize("p", [0, 1, -1])
+def test_valuation_rejects_p_below_two(p):
+    # p = 1 or -1 used to divide forever; SIGALRM turns a hang into a failure
+    import signal
+
+    from padicorder import IntPolynomial, newton_polygon
+
+    def hang(signum, frame):
+        raise TimeoutError(f"no answer for p = {p}")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError):
+            padic_valuation(5, p)
+        with pytest.raises(ValueError):
+            newton_polygon(IntPolynomial((5, -6, 5)), p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_rational_valuation():
     assert rational_valuation(Fraction(9, 2), 3) == 2
     assert rational_valuation(Fraction(9, 2), 2) == -1

@@ -189,6 +189,31 @@ def test_malformed_document_is_invalid(capsys, tmp_path, honest_docs, name, path
     assert code == 2 and "INVALID" in out and "malformed" in out
 
 
+# Integer fields are read strictly: int() would truncate 5.7 to 5 and
+# read true as 1, and such documents used to verify.
+@pytest.mark.parametrize(
+    "name,path,value",
+    [
+        ("witness_padic", ("alpha_poly", 0), 5.7),
+        ("witness_padic", ("alpha_poly", 0), "5.0"),
+        ("witness_padic", ("place", "segment_index"), 1.9),
+        ("witness_padic", ("place", "segment_index"), True),
+        ("witness_padic", ("place", "prime"), 5.0),
+        ("witness_arch", ("place", "root_index"), 1.0),
+        ("witness_arch", ("norm_bound", "num"), 106039.0),
+        ("order_witness", ("input", "eigenvalue_polys", 0, 0), 5.2),
+        ("integral", ("depth",), 6.0),
+        ("integral", ("prime",), 2.0),
+        ("integral", ("root_index",), True),
+        ("integral", ("region", "dim"), 1.0),
+        ("integral", ("region", "depth"), 1.0),
+    ],
+)
+def test_non_integer_number_is_invalid(capsys, tmp_path, honest_docs, name, path, value):
+    code, out = verify(capsys, tmp_path, _mutated(honest_docs[name], path, value))
+    assert code == 2 and "INVALID" in out and "malformed" in out
+
+
 @pytest.mark.parametrize("value", [[], [1, 2], "witness", 3, None])
 def test_non_object_is_unknown_kind(capsys, tmp_path, value):
     code, out = verify(capsys, tmp_path, value)
