@@ -21,6 +21,7 @@ from .places import (
     RootOfUnity,
     Witness,
     _conditionality,
+    _frac,
     _frac_str,
     _int,
     find_witness,
@@ -215,12 +216,15 @@ def cmd_tile(args) -> int:
     return 0 if doc["balanced"] else 2
 
 
+def _same_json(recomputed: dict, claimed: dict) -> bool:
+    """Equal as JSON text, so that 6.0 or true never stands for 6 or 1."""
+    return json.dumps(recomputed, sort_keys=True) == json.dumps(claimed, sort_keys=True)
+
+
 def _verify_order_doc(doc: dict) -> bool:
     inp = doc["input"]
     if "matrix" in inp:
-        spec = ProjAutSpec.from_matrix(
-            [[Fraction(x) for x in row] for row in inp["matrix"]]
-        )
+        spec = ProjAutSpec.from_matrix([[_frac(x) for x in row] for row in inp["matrix"]])
     else:
         specs = [
             AlgebraicNumberSpec.from_poly(
@@ -229,7 +233,7 @@ def _verify_order_doc(doc: dict) -> bool:
             for coeffs in inp["eigenvalue_polys"]
         ]
         spec = ProjAutSpec.from_eigenvalues(specs)
-    if _verdict_doc(spec.certify(), inp) != doc:
+    if not _same_json(_verdict_doc(spec.certify(), inp), doc):
         return False
     if "certificate" in doc:
         return verify_witness_certificate(witness_cert_from_doc(doc["certificate"]))
@@ -244,14 +248,15 @@ def _verify_witness_doc(doc: dict) -> bool:
     if doc["conditionality"] != _conditionality(f, status):
         return False
     if doc["case"] == "root_of_unity":
-        return root_of_unity_order(f) == doc["order"]
+        return root_of_unity_order(f) == _int(doc["order"])
     return doc["case"] == "witness" and verify_witness_certificate(
         witness_cert_from_doc(doc)
     )
 
 
 def _verify_tile_doc(doc: dict) -> bool:
-    return _tile_doc(doc["prime"], doc["scale"], doc["m_range"]) == doc
+    args = _int(doc["prime"]), _int(doc["scale"]), _int(doc["m_range"])
+    return _same_json(_tile_doc(*args), doc)
 
 
 def _verify_integral_doc(doc: dict) -> bool:
@@ -261,13 +266,11 @@ def _verify_integral_doc(doc: dict) -> bool:
     region = Cylinder(
         _int(doc["prime"]),
         _int(doc["region"]["dim"]),
-        tuple(Fraction(c) for c in doc["region"]["center"]),
+        tuple(_frac(c) for c in doc["region"]["center"]),
         _int(doc["region"]["depth"]),
     )
     interval = integrate(PolyDensity(f, _int(doc["root_index"])), region, _int(doc["depth"]))
-    claimed = RationalInterval(
-        Fraction(doc["interval"]["lo"]), Fraction(doc["interval"]["hi"])
-    )
+    claimed = RationalInterval(_frac(doc["interval"]["lo"]), _frac(doc["interval"]["hi"]))
     approx = [float(interval.lo), float(interval.hi)]
     return interval.intersects(claimed) and doc["approx"] == approx
 

@@ -95,7 +95,11 @@ _VAR_RE = re.compile(r"x(\d*)")
 
 def parse_multipoly(text: str, nvars: int | None = None) -> MultiPoly:
     """Polynomial in variables x1..xn (or plain ``x``) with rational
-    coefficients, parsed exactly via sympy."""
+    coefficients, parsed exactly via sympy.  sympy's parser evaluates its
+    input as Python, so any character outside digits, whitespace, ``x``
+    and ``+-*/^()`` is refused first."""
+    if not re.fullmatch(r"[0-9\sx+\-*/^()]*", text):
+        raise ParseError(f"unexpected character in polynomial {text!r}")
     from sympy import Rational, symbols
     from sympy.parsing.sympy_parser import (
         convert_xor,

@@ -278,6 +278,13 @@ def _int(x) -> int:
     raise ValueError(f"not an integer: {x!r}")
 
 
+def _frac(x) -> Fraction:
+    """A certificate rational: an int, or an "a" or "a/b" string with b > 0."""
+    if type(x) is int or (isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", x)):
+        return Fraction(x)
+    raise ValueError(f"not a rational: {x!r}")
+
+
 def _frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -288,7 +295,7 @@ def _interval_doc(iv: RationalInterval):
 
 
 def _interval_from_doc(doc):
-    return RationalInterval(Fraction(doc[0]), Fraction(doc[1]))
+    return RationalInterval(_frac(doc[0]), _frac(doc[1]))
 
 
 def _box_doc(box: ComplexBox):
@@ -352,10 +359,10 @@ def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
         place = Place(
             kind="non_archimedean",
             prime=_int(place_doc["prime"]),
-            slope=Fraction(place_doc["slope"]),
+            slope=_frac(place_doc["slope"]),
             segment_index=_int(place_doc["segment_index"]),
         )
-        p, exp = _int(norm_doc["p"]), Fraction(norm_doc["exponent"])
+        p, exp = _int(norm_doc["p"]), _frac(norm_doc["exponent"])
         return WitnessCertificate(
             alpha=alpha,
             place=place,

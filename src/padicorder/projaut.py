@@ -9,6 +9,11 @@ polynomial of N whose factors are all cyclotomic.  Infinite order comes
 with a re-checkable reason: a repeated factor of the minimal polynomial
 of M (non-semisimplicity), or a local-field witness that some
 eigenvalue of N lies off the unit circle at a place.
+
+Determinants, inverses, powers and Krylov annihilators run on sympy's
+DomainMatrix over QQ.  The Fraction helpers identity_matrix, mat_mul,
+mat_pow, is_scalar_matrix, kron, transpose and conjugation_operator stay
+as independent references for the tests; no decision calls them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .algnum import AlgebraicNumberSpec
 from .intpoly import (
@@ -43,8 +52,8 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def as_matrix(rows) -> Matrix:
     m = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square" if m else "matrix is empty")
     return m
 
 
@@ -74,41 +83,29 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return out
 
 
+def _qq_matrix(rows) -> DomainMatrix:
+    m = as_matrix(rows)
+    entries = [[QQ(x.numerator, x.denominator) for x in row] for row in m]
+    return DomainMatrix(entries, (len(m), len(m)), QQ)
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _fractions(a: DomainMatrix) -> Matrix:
+    return tuple(tuple(_fraction(x) for x in row) for row in a.to_list())
+
+
 def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + list(identity_matrix(n)[i]) for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    try:
+        return _fractions(_qq_matrix(a).inv())
+    except DMNonInvertibleMatrixError:
+        raise ValueError("matrix is singular") from None
 
 
 def mat_det(a: Matrix) -> Fraction:
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    return _fraction(_qq_matrix(a).det())
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -121,6 +118,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
+
+
+def _is_scalar(a: DomainMatrix) -> bool:
+    return a.is_diagonal and len(set(a.diagonal())) == 1
 
 
 def is_scalar_matrix(a: Matrix) -> bool:
@@ -142,72 +143,31 @@ def conjugation_operator(m: Matrix) -> Matrix:
 # --- minimal polynomials ----------------------------------------------------
 
 
-def _apply(m: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
-
-
-def _annihilator(m: Matrix, v: list[Fraction]) -> list[Fraction]:
-    """Monic coefficients (ascending) of the minimal polynomial of m on
-    the Krylov space of v, by exact elimination."""
-    n = len(v)
-    basis: list[list[Fraction]] = []  # reduced echelon rows
-    pivots: list[int] = []
-    coords: list[list[Fraction]] = []  # expression of krylov vecs in echelon rows
-    krylov = [v[:]]
-    while True:
-        w = krylov[-1][:]
-        expr = [Fraction(0)] * len(basis)
-        for idx, (row, pc) in enumerate(zip(basis, pivots)):
-            if w[pc] != 0:
-                coeff = w[pc] / row[pc]
-                expr[idx] = coeff
-                w = [x - coeff * y for x, y in zip(w, row)]
-        if all(x == 0 for x in w):
-            # krylov[-1] = sum expr_idx * basis rows; rewrite in krylov terms
-            # basis row idx corresponds to krylov vector idx (triangularly)
-            coeffs = [Fraction(0)] * (len(krylov) - 1)
-            # solve: each basis row i = krylov[i] - (combination of earlier rows)
-            # track via coords
-            for idx, c in enumerate(expr):
-                if c:
-                    for j, cj in enumerate(coords[idx]):
-                        coeffs[j] += c * cj
-            # minimal polynomial on this vector: x^k - sum coeffs_j x^j
-            return [-c for c in coeffs] + [Fraction(1)]
-        pc = next(i for i, x in enumerate(w) if x != 0)
-        basis.append(w)
-        pivots.append(pc)
-        # w = krylov[-1] - sum expr * earlier basis rows; in krylov coords:
-        coord = [Fraction(0)] * len(krylov)
-        coord[-1] = Fraction(1)
-        for idx, c in enumerate(expr):
-            if c:
-                for j, cj in enumerate(coords[idx]):
-                    coord[j] -= c * cj
-        coords.append(coord)
-        krylov.append(_apply(m, krylov[-1]))
-
-
-def _clear_to_int(coeffs: list[Fraction]) -> IntPolynomial:
+def _annihilator(m: DomainMatrix, v: DomainMatrix) -> IntPolynomial:
+    """Minimal polynomial of m on the Krylov space of the column v, as a
+    primitive integer polynomial: in the reduced echelon form of
+    [v, mv, ..., m^n v] the pivots are 0..k-1, and column k holds the
+    coefficients of m^k v in terms of v, ..., m^(k-1) v."""
+    krylov = [v]
+    for _ in range(m.shape[0]):
+        krylov.append(m * krylov[-1])
+    rref, pivots = v.hstack(*krylov[1:]).rref()
+    k = len(pivots)
+    coeffs = [-row[k] for row in rref.to_list()[:k]] + [QQ(1)]
     den = math.lcm(*(c.denominator for c in coeffs))
     return IntPolynomial.from_coeffs([int(c * den) for c in coeffs]).primitive_part()
-
-
-def _poly_lcm(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    gcd = poly_gcd(f, g)
-    return (f * g).exact_div(gcd).primitive_part()
 
 
 def minimal_polynomial(m) -> IntPolynomial:
     """Exact minimal polynomial of a rational matrix, cleared to a
     primitive integer polynomial."""
-    m = as_matrix(m)
-    n = len(m)
-    result: IntPolynomial | None = None
+    m = _qq_matrix(m)
+    n = m.shape[0]
+    eye = DomainMatrix.eye(n, QQ)
+    result = IntPolynomial.from_coeffs([1])
     for i in range(n):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        ann = _clear_to_int(_annihilator(m, e))
-        result = ann if result is None else _poly_lcm(result, ann)
+        ann = _annihilator(m, eye[:, i])
+        result = (result * ann).exact_div(poly_gcd(result, ann)).primitive_part()
         if result.degree == n:
             break
     return result
@@ -272,8 +232,8 @@ class ProjAutSpec:
 
 def projective_order(m) -> OrderVerdict:
     """Finite/infinite order of the class of M in PGL, with certificate."""
-    m = as_matrix(m)
-    det = mat_det(m)
+    qm = _qq_matrix(m)
+    det = qm.det()
     if det == 0:
         raise ValueError("matrix is singular")
     mp = minimal_polynomial(m)
@@ -282,8 +242,8 @@ def projective_order(m) -> OrderVerdict:
         return OrderVerdict(
             kind="infinite", reason=NOT_SEMISIMPLE, jordan_evidence=evidence
         )
-    n = len(m)
-    big_n = tuple(tuple(x / det for x in row) for row in mat_pow(m, n))
+    n = qm.shape[0]
+    big_n = _fractions(qm**n * (1 / det))
     matched, rem = factor_out_cyclotomics(minimal_polynomial(big_n))
     if rem.coeffs == (1,):
         # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k
@@ -291,7 +251,7 @@ def projective_order(m) -> OrderVerdict:
         order = next(
             k
             for k in range(1, bound + 1)
-            if bound % k == 0 and is_scalar_matrix(mat_pow(m, k))
+            if bound % k == 0 and _is_scalar(qm**k)
         )
         return OrderVerdict(kind="finite", order=order)
     result = find_witness(AlgebraicNumberSpec.from_poly(rem, prove=True))

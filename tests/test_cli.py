@@ -41,6 +41,11 @@ def test_order_singular_matrix_exit_1(capsys):
     assert code == 1 and "error" in err
 
 
+def test_order_rank_one_matrix_exit_1(capsys):
+    code, _, err = run(capsys, "order", "--matrix", "1,2;2,4")
+    assert code == 1 and "matrix is singular" in err
+
+
 def test_witness_root_of_unity_exit_0(capsys):
     code, doc = run_json(capsys, "witness", "x^2 - x + 1")
     assert code == 0

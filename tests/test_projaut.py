@@ -144,12 +144,28 @@ def disguise(m, seed):
     return tuple(tuple(lam * x for x in row) for row in conj)
 
 
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return F(rows)
+
+
 ORACLE_CASES = [(f"phi{d}", companion(cyclotomic(d))) for d in (3, 4, 5, 6, 8, 10, 12)] + [
     ("x2-x-1", companion(IntPolynomial((-1, -1, 1)))),
     ("x3-x-1", companion(IntPolynomial((-1, -1, 0, 1)))),
     ("5x2-6x+5", F([[0, -1], [1, Fraction(6, 5)]])),  # its rational companion
     ("diag(2,-2)", F([[2, 0], [0, -2]])),
     ("diag(1,2)", F([[1, 0], [0, 2]])),
+    # derogatory: the minimal polynomial is an lcm over several unit vectors
+    ("phi3+phi3", block_diag(companion(cyclotomic(3)), companion(cyclotomic(3)))),
+    ("phi4+[1]", block_diag(companion(cyclotomic(4)), F([[1]]))),
+    ("x2-x-1 twice", block_diag(*[companion(IntPolynomial((-1, -1, 1)))] * 2)),
+    ("J2(1)+[1]", block_diag(F([[1, 1], [0, 1]]), F([[1]]))),
 ]
 
 
@@ -164,6 +180,9 @@ def test_projective_order_matches_conjugation_operator(name, m):
         # exactly when [M] has finite order in PGL, and the orders agree.
         assert v.order == linear_order(conjugation_operator(md))
         assert v.is_finite == (v.order is not None)
+        if name == "J2(1)+[1]":
+            assert v.reason == "NotSemisimple"
+            continue
         if not v.is_finite:
             assert v.reason == "EigenvalueWitness"
             assert verify_witness_certificate(v.certificate)
@@ -173,6 +192,52 @@ def test_projective_order_matches_conjugation_operator(name, m):
         # N = diag(1/2, 2) has the non-monic minimal polynomial 2x^2 - 5x + 2
         assert v.certificate.place.kind == "non_archimedean"
         assert v.certificate.place.prime == 2
+
+
+def _evaluate(coeffs, m):
+    """sum c_i M^i by Horner's rule with the Fraction mat_mul."""
+    n = len(m)
+    acc = F([[0] * n] * n)
+    for c in reversed(coeffs):
+        acc = tuple(
+            tuple(x + (c if i == j else 0) for j, x in enumerate(row))
+            for i, row in enumerate(mat_mul(acc, m))
+        )
+    return acc
+
+
+def test_minimal_polynomial_oracle_on_disguised_blocks():
+    from sympy import Poly, factor_list, symbols
+
+    x = symbols("x")
+    pool = [companion(cyclotomic(d)) for d in (1, 2, 3, 4, 5, 6)] + [
+        companion(IntPolynomial((-1, -1, 1))),
+        F([[1, 1], [0, 1]]),
+        F([[2]]),
+        F([[Fraction(-1, 2)]]),
+    ]
+    rng = random.Random(20261018)
+    for seed in range(16):
+        blocks = [rng.choice(pool)]
+        while rng.random() < 0.8:
+            b = rng.choice(blocks + pool)  # repeats make M derogatory
+            if sum(map(len, blocks)) + len(b) <= 5:
+                blocks.append(b)
+        m = disguise(block_diag(*blocks), seed)
+        zero = F([[0] * len(m)] * len(m))
+        mp = minimal_polynomial(m)
+        assert _evaluate(mp.coeffs, m) == zero
+        poly = Poly(list(reversed(mp.coeffs)), x)
+        for q, _ in factor_list(poly)[1]:
+            proper = [Fraction(int(c)) for c in reversed(poly.exquo(q).all_coeffs())]
+            assert _evaluate(proper, m) != zero
+
+
+def test_singular_matrix_raises():
+    m = F([[1, 2], [2, 4]])
+    for fn in (mat_inv, projective_order):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            fn(m)
 
 
 def test_scalar_and_conjugation_invariance_randomized():

@@ -12,6 +12,9 @@ from fractions import Fraction
 import pytest
 
 from padicorder.cli import main
+from padicorder.errors import ParseError
+from padicorder.parsing import parse_multipoly
+from padicorder.places import _frac
 
 LEHMER = "x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"
 
@@ -211,6 +214,64 @@ def test_malformed_document_is_invalid(capsys, tmp_path, honest_docs, name, path
 )
 def test_non_integer_number_is_invalid(capsys, tmp_path, honest_docs, name, path, value):
     code, out = verify(capsys, tmp_path, _mutated(honest_docs[name], path, value))
+    assert code == 2 and "INVALID" in out and "malformed" in out
+
+
+# Rational fields are read strictly too, and recomputed documents are
+# compared as JSON text: Fraction(0.5) reads a float, and 6.0 == 6 and
+# True == 1 in Python, so each of these documents used to verify.
+FOUND_INTEGRAL = (
+    "integrate", "--prime", "3", "--density", "x^2 - 1/4", "--depth", "6",
+    "--center", "1/2", "--region-depth", "1",
+)
+
+
+@pytest.mark.parametrize(
+    "argv,path,value",
+    [
+        (("witness", "x^2 - x + 1"), ("order",), 6.0),
+        (("witness", "x - 1"), ("order",), True),
+        (("order", "--matrix", "0,-1;1,0"), ("order",), 2.0),
+        (("order", "--matrix", "0,-1;1,0"), ("input", "matrix", 0, 0), 0.0),
+        (("order", "--eigenvalues", "[5,-6,5]"), ("eigenvalue_index",), 0.0),
+        (("tile", "--prime", "2", "--scale", "2", "--range", "3"), ("balanced",), 1),
+        (("tile", "--prime", "2", "--scale", "2", "--range", "3"), ("per_N", 0, "n"), -3.0),
+        (FOUND_INTEGRAL, ("region", "center"), [0.5]),
+        (("witness", "x^2 - x - 1"), ("place", "box", "im"), [0.0, 0.0]),
+    ],
+)
+def test_float_or_bool_number_is_invalid(capsys, tmp_path, argv, path, value):
+    doc = produce(capsys, *argv)
+    assert verify(capsys, tmp_path, doc)[0] == 0
+    code, out = verify(capsys, tmp_path, _mutated(doc, path, value))
+    assert code == 2 and "INVALID" in out
+
+
+def test_strict_rational_reader():
+    for text, value in [(3, 3), ("3", 3), ("-3/4", Fraction(-3, 4)), ("6/08", Fraction(3, 4))]:
+        assert _frac(text) == value
+    for bad in [True, 0.5, 2.0, "0.5", "1/0", "1/-2", " 1/2", "1/2/3", "1e3", None, [1]]:
+        with pytest.raises(ValueError):
+            _frac(bad)
+
+
+# --- densities are never evaluated as Python ----------------------------------
+
+
+def test_density_with_python_call_is_a_parse_error():
+    # sympy's parser would evaluate len('ab') and return x + 2
+    with pytest.raises(ParseError):
+        parse_multipoly("x + len('ab')")
+
+
+def test_integrate_refuses_python_density(capsys):
+    assert main(["integrate", "--prime", "3", "--density", "x + len('ab')"]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_integral_document_with_python_density_is_invalid(capsys, tmp_path, honest_docs):
+    doc = _mutated(honest_docs["integral"], ("density",), "x + len('ab')")
+    code, out = verify(capsys, tmp_path, doc)
     assert code == 2 and "INVALID" in out and "malformed" in out
 
 
