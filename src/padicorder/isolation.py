@@ -167,6 +167,23 @@ def _holds_root(f: IntPolynomial, df: IntPolynomial, x) -> bool:
     return k is not None and _box(x).contains_box(_box(k))
 
 
+def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
+    """Krawczyk's strict test K(X) ⊂ int X, which proves that the closed
+    box holds exactly one root of f: _rect_mul is an interval 2x2 matrix
+    product, so K(X) encloses Rump's Krawczyk set of f as a map R^2 -> R^2.
+    A real box [a, b] x [0, 0] takes the one-dimensional test, K real and
+    inside (a, b); any other degenerate box, or a constant f, fails."""
+    x = (box.real.lo, box.real.hi, box.imag.lo, box.imag.hi)
+    if f.is_constant() or x[2] == x[3] != 0:
+        return False
+    k = _krawczyk(f, f.derivative(), x)
+    if k is None or not x[0] < k[0] <= k[1] < x[1]:
+        return False
+    if x[2] == x[3]:
+        return k[2] == k[3] == 0
+    return x[2] < k[2] <= k[3] < x[3]
+
+
 def _to_grid(v, g: int) -> Fraction:
     """The multiple of 2**g nearest to the mpf v."""
     return int(mpmath.nint(mpmath.ldexp(v, -g))) * _scale(g)

@@ -91,15 +91,21 @@ def parse_matrix(text: str):
 
 
 _VAR_RE = re.compile(r"x(\d*)")
+_POWER_RE = re.compile(r"x\d*\s*\^\s*\d{1,3}(?!\d|\s*\^)")
 
 
 def parse_multipoly(text: str, nvars: int | None = None) -> MultiPoly:
     """Polynomial in variables x1..xn (or plain ``x``) with rational
     coefficients, parsed exactly via sympy.  sympy's parser evaluates its
     input as Python, so any character outside digits, whitespace, ``x``
-    and ``+-*/^()`` is refused first."""
-    if not re.fullmatch(r"[0-9\sx+\-*/^()]*", text):
+    and ``+-*/^`` is refused first, and so is every power but a variable
+    to an exponent of at most three digits.  With no parentheses and no
+    power towers, sympy's work grows with the length of the text, not
+    exponentially."""
+    if not re.fullmatch(r"[0-9\sx+\-*/^]*", text):
         raise ParseError(f"unexpected character in polynomial {text!r}")
+    if "**" in text or text.count("^") != len(_POWER_RE.findall(text)):
+        raise ParseError(f"a power must be x or xN ^ at most 3 digits: {text!r}")
     from sympy import Rational, symbols
     from sympy.parsing.sympy_parser import (
         convert_xor,

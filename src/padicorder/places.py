@@ -28,7 +28,7 @@ from .intpoly import (
     is_squarefree,
     root_of_unity_order,
 )
-from .isolation import ComplexBox, isolate_roots
+from .isolation import ComplexBox, isolate_roots, isolates_one_root
 from .padic import PPower, padic_valuation
 
 UNCONDITIONAL = "Unconditional"
@@ -76,7 +76,6 @@ class Place:
     slope: Fraction | None = None
     segment_index: int | None = None
     root_box: ComplexBox | None = None
-    root_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -170,10 +169,10 @@ def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     g = f.primitive_part()
     k = 4 * max(g.degree, 1)
     h = kth_root_enclosure(Fraction(2), k, k.bit_length() + 4).lo
-    for idx, box in enumerate(isolate_roots(g, (h - 1) / 2)):
+    for box in isolate_roots(g, (h - 1) / 2):
         m2 = box.mod_squared_interval()
         if m2.lo > 1:
-            place = Place(kind="archimedean", root_box=box, root_index=idx)
+            place = Place(kind="archimedean", root_box=box)
             return WitnessCertificate(
                 alpha=AlgebraicNumberSpec(g),
                 place=place,
@@ -233,7 +232,9 @@ def product_formula_check(r) -> bool:
 
 
 def verify_witness_certificate(cert: WitnessCertificate) -> bool:
-    """Re-check a certificate from only (polynomial, place) data."""
+    """Re-check a certificate from only (polynomial, place) data.  An
+    archimedean box passes one strict Krawczyk test, or else, re-isolated
+    at a quarter of its width, holds one root and none across its edge."""
     f = cert.alpha.defining_poly.primitive_part()
     if cert.norm_bound <= 1:
         return False
@@ -257,7 +258,9 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
         m2 = box.mod_squared_interval()
         if cert.modulus_squared != m2 or m2.lo <= 1 or cert.norm_bound**2 > m2.lo:
             return False
-        # exactly one isolated root inside the claimed box
+        if isolates_one_root(f, box):
+            return True
+        # fallback, e.g. for older documents' bisection boxes
         inside = 0
         for b in isolate_roots(f, max(box.width / 4, Fraction(1, 2**40))):
             if box.contains_box(b):
@@ -336,7 +339,6 @@ def witness_result_to_doc(result) -> dict:
         doc["place"] = {
             "type": "archimedean",
             "box": _box_doc(cert.place.root_box),
-            "root_index": cert.place.root_index,
         }
         doc["norm_bound"] = {
             "num": str(cert.norm_bound.numerator),
@@ -372,11 +374,9 @@ def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
         )
     if place_doc["type"] != "archimedean":
         raise ValueError(f"unknown place type {place_doc['type']!r}")
-    place = Place(
-        kind="archimedean",
-        root_box=_box_from_doc(place_doc["box"]),
-        root_index=_int(place_doc["root_index"]),
-    )
+    if "root_index" in place_doc:
+        _int(place_doc["root_index"])  # older documents carry it; nothing reads it
+    place = Place(kind="archimedean", root_box=_box_from_doc(place_doc["box"]))
     return WitnessCertificate(
         alpha=alpha,
         place=place,

@@ -240,3 +240,82 @@ def test_seeded_boxes_satisfy_vieta_sum_exactly(isolated):
         )
         assert re.contains(Fraction(-f.coeffs[-2], f.coeffs[-1])), f
         assert im.contains(0), f
+
+
+# --- strict Krawczyk test: exactly one root, from f and the box alone ---------
+
+
+def rect(re_lo, re_hi, im_lo, im_hi):
+    return ComplexBox(
+        RationalInterval(Fraction(re_lo), Fraction(re_hi)),
+        RationalInterval(Fraction(im_lo), Fraction(im_hi)),
+    )
+
+
+def test_isolator_boxes_pass_strict_krawczyk(isolated):
+    for f, boxes in isolated:
+        assert all(isolation.isolates_one_root(f, b) for b in boxes), f
+
+
+@pytest.mark.parametrize(
+    "coeffs,box",
+    [
+        ((-5, 0, 1), ("2", "5/2", "0", "0")),  # sqrt 5 on a real box
+        ((4, 0, 1), ("-1/4", "1/4", "7/4", "9/4")),  # 2i
+        (LEHMER.coeffs, ("117/100", "118/100", "-1/100", "1/100")),
+    ],
+)
+def test_strict_krawczyk_accepts_one_root(coeffs, box):
+    assert isolation.isolates_one_root(IntPolynomial(coeffs), rect(*box))
+
+
+@pytest.mark.parametrize(
+    "coeffs,box",
+    [
+        ((6, -5, 1), ("3/2", "7/2", "-1/2", "1/2")),  # roots 2 and 3 inside
+        ((6, -5, 1), ("3/2", "3", "-1/2", "1/2")),  # root 2 inside, 3 on the edge
+        ((6, -5, 1), ("3/2", "3", "0", "0")),  # the same on a real box
+        ((6, -5, 1), ("9/4", "11/4", "-1/4", "1/4")),  # off every root
+        ((6, -5, 1), ("9/4", "11/4", "0", "0")),  # off every root, real box
+        ((-6, 1, 1), ("5/4", "4", "-1", "1")),  # root 2 alone, K(X) not inside X
+        ((4, 0, 1), ("-1/2", "1/2", "2", "2")),  # off-axis degenerate box on 2i
+        ((4, 0, 1), ("0", "0", "3/2", "5/2")),  # zero real width, on 2i
+        ((-4, 0, 1), ("2", "2", "0", "0")),  # a point box on the root 2
+        ((-2, 1), ("1", "3", "1", "1")),  # off-axis segment above the root 2
+        ((-3, 2), ("3/2", "2", "0", "0")),  # K(X) = {3/2} touches the edge
+        ((-3, 2), ("1", "2", "0", "1")),  # K(X) = {3/2} touches the edge
+        ((5,), ("1", "2", "-1", "1")),  # a constant has no root
+    ],
+)
+def test_strict_krawczyk_rejects(coeffs, box):
+    assert not isolation.isolates_one_root(IntPolynomial(coeffs), rect(*box))
+
+
+def test_strict_krawczyk_sound_on_random_boxes(isolated):
+    """Whenever the test passes, sympy's exact root count in the closed
+    box (the oracle only) is 1."""
+    from sympy import I, Poly, Rational, symbols
+
+    x = symbols("x")
+    rng = random.Random(20261018)
+    passed = failed = 0
+    for f, boxes in isolated[:30]:
+        poly = Poly(list(reversed(f.coeffs)), x)
+        for b in boxes:
+            c_re, c_im = (b.real.lo + b.real.hi) / 2, (b.imag.lo + b.imag.hi) / 2
+            r = Fraction(1, rng.choice([2, 8, 64, 256]))
+            re = c_re + Fraction(rng.randint(-8, 8), 8) * r
+            if c_im == 0 and rng.random() < 0.5:
+                box = rect(re - r, re + r, 0, 0)
+                lo, hi = Rational(box.real.lo), Rational(box.real.hi)
+            else:
+                im = c_im + Fraction(rng.randint(-8, 8), 8) * r
+                box = rect(re - r, re + r, im - r, im + r)
+                lo = Rational(box.real.lo) + I * Rational(box.imag.lo)
+                hi = Rational(box.real.hi) + I * Rational(box.imag.hi)
+            if isolation.isolates_one_root(f, box):
+                passed += 1
+                assert poly.count_roots(lo, hi) == 1, (f, box)
+            else:
+                failed += 1
+    assert passed > 20 and failed > 20

@@ -169,7 +169,7 @@ def test_verify_rejects_box_holding_two_roots():
     m2 = box.mod_squared_interval()
     cert = WitnessCertificate(
         alpha=AlgebraicNumberSpec(IntPolynomial((6, -5, 1))),
-        place=Place(kind="archimedean", root_box=box, root_index=0),
+        place=Place(kind="archimedean", root_box=box),
         norm_bound=Fraction(3, 2),
         modulus_squared=m2,
     )
@@ -215,5 +215,99 @@ def test_unknown_place_type_raises():
     res = find_witness(AlgebraicNumberSpec.from_poly(IntPolynomial((-1, -1, 1))))
     doc = witness_result_to_doc(res)
     doc["place"]["type"] = "archimedian"
+    with pytest.raises(ValueError):
+        witness_cert_from_doc(doc)
+
+
+# --- the verifier's strict Krawczyk test and its re-isolation fallback --------
+
+
+def counted_isolations(monkeypatch):
+    """The epsilons of every isolate_roots call that places makes."""
+    import padicorder.places as places
+
+    calls = []
+    real = places.isolate_roots
+
+    def counting(f, eps):
+        calls.append(eps)
+        return real(f, eps)
+
+    monkeypatch.setattr(places, "isolate_roots", counting)
+    return calls
+
+
+def arch_cert(coeffs, re_lo, re_hi, im_lo, im_hi):
+    """An archimedean certificate on the given box whose only possible
+    fault is the box: 2m/(1+m) lies in (1, sqrt(m)] for m = |box|^2 lo > 1."""
+    box = ComplexBox(
+        RationalInterval(Fraction(re_lo), Fraction(re_hi)),
+        RationalInterval(Fraction(im_lo), Fraction(im_hi)),
+    )
+    m2 = box.mod_squared_interval()
+    return WitnessCertificate(
+        alpha=AlgebraicNumberSpec(IntPolynomial(coeffs)),
+        place=Place(kind="archimedean", root_box=box),
+        norm_bound=2 * m2.lo / (1 + m2.lo),
+        modulus_squared=m2,
+    )
+
+
+@pytest.mark.parametrize(
+    "coeffs,box,valid,fallback",
+    [
+        ((-5, 0, 1), ("2", "5/2", "0", "0"), True, False),  # sqrt 5, one test
+        ((4, 0, 1), ("-1/4", "1/4", "7/4", "9/4"), True, False),  # 2i, one test
+        ((6, -5, 1), ("3/2", "7/2", "-1/2", "1/2"), False, True),  # two roots
+        ((6, -5, 1), ("3/2", "3", "-1/2", "1/2"), False, True),  # root 3 on the edge
+        ((6, -5, 1), ("3/2", "3", "0", "0"), False, True),  # the same, real box
+        ((6, -5, 1), ("9/4", "11/4", "-1/4", "1/4"), False, True),  # off every root
+        ((-6, 1, 1), ("5/4", "4", "-1", "1"), True, True),  # one root, K(X) ⊄ int X
+        ((4, 0, 1), ("-1/2", "1/2", "2", "2"), False, True),  # off-axis degenerate
+        ((4, 0, 1), ("0", "0", "3/2", "5/2"), False, True),  # zero real width
+        ((-2, 1), ("1", "3", "1", "1"), False, True),  # off-axis, K(X) = {2}
+        ((-3, 2), ("3/2", "2", "0", "0"), False, True),  # lone root on the edge
+    ],
+)
+def test_verify_strict_krawczyk_or_fallback(monkeypatch, coeffs, box, valid, fallback):
+    cert = arch_cert(coeffs, *box)
+    assert cert.norm_bound > 1 and cert.modulus_squared.lo > 1
+    calls = counted_isolations(monkeypatch)
+    assert verify_witness_certificate(cert) is valid
+    assert len(calls) == int(fallback)
+
+
+def seeded_monic_witness_polys(count=50, seed=20261018):
+    from padicorder import is_squarefree, root_of_unity_order
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        deg = rng.randint(2, 10)
+        f = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(deg)) + (1,))
+        if f.constant != 0 and is_squarefree(f) and root_of_unity_order(f) is None:
+            out.append(f)
+    return out
+
+
+def test_honest_archimedean_documents_verify_without_isolating(monkeypatch):
+    polys = [LEHMER, IntPolynomial((1, 0, 0, 0, -1, -1, -1, 0, 0, 0, 1))]
+    docs = [
+        witness_result_to_doc(find_witness(AlgebraicNumberSpec(f)))
+        for f in polys + seeded_monic_witness_polys()
+    ]
+    assert all(doc["place"]["type"] == "archimedean" for doc in docs)
+    assert not any("root_index" in doc["place"] for doc in docs)
+    calls = counted_isolations(monkeypatch)
+    for doc in docs:
+        assert verify_witness_certificate(witness_cert_from_doc(json.loads(json.dumps(doc))))
+    assert calls == []
+
+
+def test_bisection_era_document_root_index_is_read_strictly():
+    doc = json.loads(json.dumps(BISECTION_LEHMER_DOC))
+    del doc["place"]["root_index"]
+    assert verify_witness_certificate(witness_cert_from_doc(doc))
+    doc["place"]["root_index"] = 9.0
     with pytest.raises(ValueError):
         witness_cert_from_doc(doc)
