@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (PadicOrderError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PadicOrderError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -257,6 +257,11 @@ class PolyMap:
 # --- integration ------------------------------------------------------------
 
 
+# integrate lists the p^n children of a cylinder up front and refuses more than
+# this; since p >= 2, n >= its bit length is refused before p^n is formed
+_MAX_CHILDREN = 2**16
+
+
 def _scale_bits(p: int, max_depth: int) -> int:
     # dyadic grid fine enough that kth-root enclosures err below p^-(D+2)
     return (max_depth + 2) * max(p.bit_length(), 1)
@@ -287,6 +292,8 @@ def integrate(
         raise DepthZero("max_depth must exceed the region depth")
     if d.f.nvars != n:
         raise NonIntegralDensity(f"density has {d.f.nvars} variables, region has {n}")
+    if n >= _MAX_CHILDREN.bit_length() or p**n > _MAX_CHILDREN:
+        raise ValueError(f"{p}^{n} children per cylinder exceed {_MAX_CHILDREN}")
     t = max(0, -d.f.min_p_valuation(p))
     f = d.f.scale(Fraction(p) ** t)
     q = p**max_depth

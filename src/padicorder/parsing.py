@@ -2,6 +2,13 @@
 
 Everything round-trips bit-exactly; rationals are decimal integer-string
 fractions ``a/b`` throughout.
+
+Polynomial text has one grammar, read here without any evaluator: a sum
+of monomials, each a sign (optional on the first) and factors joined by
+``*``, or by ``/`` with a nonzero integer divisor.  A factor is an ASCII
+integer, or ``x`` or ``xN`` (N of 1-3 digits, not 0) with an optional
+``^`` and an exponent of 1-3 digits; an integer may stand directly before
+a variable (``2x``), and whitespace may separate tokens.
 """
 
 from __future__ import annotations
@@ -22,21 +29,38 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*)?(?P<var1>x(?:\^(?P<exp1>\d+))?)?
-          | (?P<var2>x(?:\^(?P<exp2>\d+))?)
-        )\s*""",
-    re.VERBOSE,
-)
+_VAR = r"x(?:[1-9]\d{0,2})?(?!\d)(?:\s*\^\s*\d{1,3}(?!\d))?"
+_FACTOR = rf"(?:\d+(?:\s*{_VAR})?|{_VAR})"
+_MONOMIAL_RE = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR}|\s*/\s*\d+)*)\s*", re.ASCII)
+_FACTOR_RE = re.compile(r"\s*([*/]?)\s*(?:(\d+)|x(\d*)(?:\s*\^\s*(\d+))?)", re.ASCII)
+
+
+def _sum_of_monomials(text: str) -> dict:
+    """Read the grammar into {((name, exponent), ...): coefficient}, where
+    a name is the index digits of ``xN``, or "" for plain ``x``."""
+    pos, terms = 0, {}
+    while pos < len(text) or not terms:
+        m = _MONOMIAL_RE.match(text, pos)
+        if not m or (terms and not m.group(1)):
+            raise ParseError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
+        coeff, powers = Fraction(-1 if m.group(1) == "-" else 1), {}
+        try:
+            for op, num, name, exp in _FACTOR_RE.findall(m.group(2)):
+                if num:
+                    coeff = coeff / int(num) if op == "/" else coeff * int(num)
+                else:
+                    powers[name] = powers.get(name, 0) + int(exp or 1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad number in {m.group(2)!r}: {exc}") from None
+        key = tuple(sorted(powers.items()))
+        terms[key] = terms.get(key, 0) + coeff
+        pos = m.end()
+    return terms
 
 
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse either ``[c0, c1, ..., cn]`` (ascending) or ``x^2 - x + 1``."""
     text = text.strip()
-    if not text:
-        raise ParseError("empty polynomial")
     if text.startswith("["):
         if not text.endswith("]"):
             raise ParseError(f"unterminated coefficient list at position {len(text)}")
@@ -46,34 +70,12 @@ def parse_polynomial(text: str) -> IntPolynomial:
         except ValueError as exc:
             raise ParseError(f"bad coefficient list {text!r}: {exc}") from None
         return IntPolynomial.from_coeffs(coeffs)
-    return _parse_human_poly(text)
-
-
-def _parse_human_poly(text: str) -> IntPolynomial:
-    pos = 0
-    coeffs: dict[int, int] = {}
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sign") is None and not first:
-            raise ParseError(f"missing +/- before position {pos}")
-        if m.group("var2") is not None:
-            coeff, var, exp = 1, m.group("var2"), m.group("exp2")
-        else:
-            coeff = int(m.group("coeff")) if m.group("coeff") else 1
-            var, exp = m.group("var1"), m.group("exp1")
-        if var is None:
-            degree = 0
-        else:
-            degree = int(exp) if exp else 1
-        coeffs[degree] = coeffs.get(degree, 0) + sign * coeff
-        pos = m.end()
-        first = False
-    top = max(coeffs)
-    return IntPolynomial.from_coeffs([coeffs.get(i, 0) for i in range(top + 1)])
+    terms = _sum_of_monomials(text)
+    coeffs = {sum(k for _, k in key): c for key, c in terms.items() if c}
+    named = any(name for key in terms for name, _ in key)
+    if named or not coeffs or any(c.denominator != 1 for c in coeffs.values()):
+        raise ParseError(f"not a nonzero polynomial in x with integer coefficients: {text!r}")
+    return IntPolynomial.from_coeffs([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
 
 def parse_matrix(text: str):
@@ -90,59 +92,21 @@ def parse_matrix(text: str):
     return rows
 
 
-_VAR_RE = re.compile(r"x(\d*)")
-_POWER_RE = re.compile(r"x\d*\s*\^\s*\d{1,3}(?!\d|\s*\^)")
-
-
 def parse_multipoly(text: str, nvars: int | None = None) -> MultiPoly:
-    """Polynomial in variables x1..xn (or plain ``x``) with rational
-    coefficients, parsed exactly via sympy.  sympy's parser evaluates its
-    input as Python, so any character outside digits, whitespace, ``x``
-    and ``+-*/^`` is refused first, and so is every power but a variable
-    to an exponent of at most three digits.  With no parentheses and no
-    power towers, sympy's work grows with the length of the text, not
-    exponentially."""
-    if not re.fullmatch(r"[0-9\sx+\-*/^]*", text):
-        raise ParseError(f"unexpected character in polynomial {text!r}")
-    if "**" in text or text.count("^") != len(_POWER_RE.findall(text)):
-        raise ParseError(f"a power must be x or xN ^ at most 3 digits: {text!r}")
-    from sympy import Rational, symbols
-    from sympy.parsing.sympy_parser import (
-        convert_xor,
-        parse_expr,
-        standard_transformations,
-    )
-
-    names = sorted(set(_VAR_RE.findall(text)))
-    if names == [""]:
-        n = nvars or 1
-        local = {"x": symbols("x1")}
-    else:
-        if "" in names:
-            raise ParseError("mix of 'x' and indexed variables")
-        indices = [int(s) for s in names if s]
-        n = nvars or (max(indices) if indices else 1)
-        if indices and max(indices) > n:
-            raise ParseError(f"variable x{max(indices)} exceeds dimension {n}")
-        local = {f"x{i}": symbols(f"x{i}") for i in range(1, n + 1)}
-    try:
-        expr = parse_expr(
-            text,
-            local_dict=local,
-            evaluate=True,
-            transformations=standard_transformations + (convert_xor,),
-        )
-    except Exception as exc:
-        raise ParseError(f"cannot parse polynomial {text!r}: {exc}") from None
-    from sympy import Poly
-
-    gens = [local[f"x{i}"] if f"x{i}" in local else local["x"] for i in range(1, n + 1)]
-    try:
-        poly = Poly(expr, *gens)
-    except Exception as exc:
-        raise ParseError(f"not a polynomial: {text!r} ({exc})") from None
+    """Polynomial in variables x1..xn with rational coefficients, n being
+    nvars if given, else the largest index; or in plain ``x`` when n = 1."""
+    terms = _sum_of_monomials(text)
+    names = {name for key in terms for name, _ in key}
+    top = max((int(name or 1) for name in names), default=1)
+    n = nvars or top
+    if "" in names and (len(names) > 1 or n != 1):
+        raise ParseError("plain 'x' must be the only variable, in dimension 1")
+    if top > n or n > 999:
+        raise ParseError(f"variable x{top} in dimension {n}, which must be 1 to 999")
     d = {}
-    for monom, coeff in poly.terms():
-        c = Rational(coeff)
-        d[tuple(monom)] = Fraction(int(c.p), int(c.q))
+    for key, c in terms.items():
+        e = [0] * n
+        for name, k in key:
+            e[int(name or 1) - 1] = k
+        d[tuple(e)] = c
     return MultiPoly.from_dict(n, d)

@@ -72,6 +72,12 @@ def test_witness_parse_error_exit_1(capsys):
     assert code == 1 and "parse error" in err
 
 
+def test_integrate_too_large_for_a_float_exit_1(capsys):
+    # the enclosure is about 2^1100, past the largest float of the approximation
+    code, _, err = run(capsys, "integrate", "--prime", "2", "--depth", "4", "--density", f"1/{2**1100}*x")
+    assert code == 1 and err.startswith("error:")
+
+
 def test_integrate_text_and_json(capsys):
     code, doc = run_json(
         capsys, "integrate", "--prime", "3", "--density", "x", "--depth", "10"
