@@ -257,8 +257,7 @@ class PolyMap:
 # --- integration ------------------------------------------------------------
 
 
-# integrate lists the p^n children of a cylinder up front and refuses more than
-# this; since p >= 2, n >= its bit length is refused before p^n is formed
+# integrate lists the p^n children of a cylinder up front and refuses more than this
 _MAX_CHILDREN = 2**16
 
 
@@ -292,7 +291,7 @@ def integrate(
         raise DepthZero("max_depth must exceed the region depth")
     if d.f.nvars != n:
         raise NonIntegralDensity(f"density has {d.f.nvars} variables, region has {n}")
-    if n >= _MAX_CHILDREN.bit_length() or p**n > _MAX_CHILDREN:
+    if p**n > _MAX_CHILDREN:
         raise ValueError(f"{p}^{n} children per cylinder exceed {_MAX_CHILDREN}")
     t = max(0, -d.f.min_p_valuation(p))
     f = d.f.scale(Fraction(p) ** t)

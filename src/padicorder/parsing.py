@@ -29,32 +29,42 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-_VAR = r"x(?:[1-9]\d{0,2})?(?!\d)(?:\s*\^\s*\d{1,3}(?!\d))?"
-_FACTOR = rf"(?:\d+(?:\s*{_VAR})?|{_VAR})"
-_MONOMIAL_RE = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR}|\s*/\s*\d+)*)\s*", re.ASCII)
-_FACTOR_RE = re.compile(r"\s*([*/]?)\s*(?:(\d+)|x(\d*)(?:\s*\^\s*(\d+))?)", re.ASCII)
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sign>[+-])|(?P<op>[*/])|(?P<num>\d+)"
+    r"|(?P<var>x(?P<index>[1-9]\d{0,2})?(?!\d)(?:\s*\^\s*(?P<exp>\d{1,3})(?!\d))?))", re.ASCII
+)
 
 
 def _sum_of_monomials(text: str) -> dict:
     """Read the grammar into {((name, exponent), ...): coefficient}, where
-    a name is the index digits of ``xN``, or "" for plain ``x``."""
-    pos, terms = 0, {}
-    while pos < len(text) or not terms:
-        m = _MONOMIAL_RE.match(text, pos)
-        if not m or (terms and not m.group(1)):
-            raise ParseError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
-        coeff, powers = Fraction(-1 if m.group(1) == "-" else 1), {}
+    a name is the index digits of ``xN``, or "" for plain ``x``.  Keys may
+    differ only by zero exponents, so callers add colliding terms."""
+    terms, pos, end = {}, 0, len(text.rstrip())
+    while pos < end or not terms:
+        m = _TOKEN_RE.match(text, pos)
+        sign = m and m["sign"]
+        pos = m.end() if sign else pos
+        coeff, powers = Fraction(-1 if sign == "-" else 1), {}
+        # a sign starts every term but the first
+        op, expect = "*", ("num", "var") if sign or not terms else ()
         try:
-            for op, num, name, exp in _FACTOR_RE.findall(m.group(2)):
-                if num:
-                    coeff = coeff / int(num) if op == "/" else coeff * int(num)
+            while (m := _TOKEN_RE.match(text, pos)) and m.lastgroup in expect:
+                pos = m.end()
+                if m.lastgroup == "op":
+                    op, expect = m["op"], ("num",) if m["op"] == "/" else ("num", "var")
+                elif m.lastgroup == "var":
+                    name = m["index"] or ""
+                    powers[name], expect = powers.get(name, 0) + int(m["exp"] or 1), ("op",)
+                elif op == "/":
+                    coeff, expect = coeff / int(m["num"]), ("op",)
                 else:
-                    powers[name] = powers.get(name, 0) + int(exp or 1)
+                    coeff, expect = coeff * int(m["num"]), ("var", "op")
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad number in {m.group(2)!r}: {exc}") from None
+            raise ParseError(f"bad number before position {pos}: {exc}") from None
+        if "op" not in expect:
+            raise ParseError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
         key = tuple(sorted(powers.items()))
         terms[key] = terms.get(key, 0) + coeff
-        pos = m.end()
     return terms
 
 
@@ -71,11 +81,13 @@ def parse_polynomial(text: str) -> IntPolynomial:
             raise ParseError(f"bad coefficient list {text!r}: {exc}") from None
         return IntPolynomial.from_coeffs(coeffs)
     terms = _sum_of_monomials(text)
-    coeffs = {sum(k for _, k in key): c for key, c in terms.items() if c}
+    coeffs = [0] * (max(sum(k for _, k in key) for key in terms) + 1)
+    for key, c in terms.items():
+        coeffs[sum(k for _, k in key)] += c
     named = any(name for key in terms for name, _ in key)
-    if named or not coeffs or any(c.denominator != 1 for c in coeffs.values()):
+    if named or not any(coeffs) or any(c.denominator != 1 for c in coeffs):
         raise ParseError(f"not a nonzero polynomial in x with integer coefficients: {text!r}")
-    return IntPolynomial.from_coeffs([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+    return IntPolynomial.from_coeffs(coeffs)
 
 
 def parse_matrix(text: str):
@@ -108,5 +120,5 @@ def parse_multipoly(text: str, nvars: int | None = None) -> MultiPoly:
         e = [0] * n
         for name, k in key:
             e[int(name or 1) - 1] = k
-        d[tuple(e)] = c
+        d[tuple(e)] = d.get(tuple(e), 0) + c
     return MultiPoly.from_dict(n, d)

@@ -47,9 +47,24 @@ def test_large_variable_index_or_dimension_is_refused_at_once(deadline):
     assert parse_multipoly("x999").nvars == 999
 
 
+@pytest.mark.parametrize(
+    "text, nvars, coeffs",
+    [
+        ("x^0 + 1", 1, {(0,): 2}),
+        ("x^0 - 1 + x^2", 1, {(2,): 1}),
+        ("x1^0*x2 + x2", 2, {(0, 1): 2}),
+        ("x3^0 + x1", 3, {(0, 0, 0): 1, (1, 0, 0): 1}),
+    ],
+)
+def test_terms_differing_by_zero_exponents_add_up(text, nvars, coeffs):
+    assert parse_multipoly(text) == MultiPoly.from_dict(nvars, coeffs)
+
+
 def test_univariate_text_needs_x_and_integer_coefficients():
     assert parse_polynomial("2*3x^2 - 4/2*x + 1") == IntPolynomial.from_coeffs([1, -2, 6])
-    for text in ["x/2", "x1 + 1", "x^1000", "2^3", ""]:
+    assert parse_polynomial("x^0 + 1") == IntPolynomial.from_coeffs([2])
+    assert parse_polynomial("x^0 - 1 + x^2") == IntPolynomial.from_coeffs([0, 0, 1])
+    for text in ["x/2", "x1 + 1", "x^1000", "2^3", "", "x*x^0 - x^1"]:
         with pytest.raises(ParseError):
             parse_polynomial(text)
     assert parse_polynomial("[1, 0, 0, 0, 1]").degree == 4
@@ -62,20 +77,32 @@ SPACE = st.sampled_from(["", " ", "  "])
 
 @st.composite
 def rendered_multipolys(draw):
-    """A random MultiPoly and one of its many spellings."""
+    """A random MultiPoly and one of its many spellings: a monomial may be
+    split over two terms, an exponent over repeated factors, and a variable
+    may appear with ^0."""
     n = draw(st.integers(1, 3))
     monomials = st.tuples(*[st.integers(0, 9)] * n)
     coeffs = st.fractions(max_denominator=50).filter(bool)
     d = draw(st.dictionaries(monomials, coeffs, max_size=5))
     plain = n == 1 and draw(st.booleans())
-    text = ""
+    pieces = []
     for e, c in d.items():
+        a = draw(st.fractions(max_denominator=50)) if draw(st.booleans()) else 0
+        pieces += [(e, a), (e, c - a)] if a else [(e, c)]
+    text = ""
+    for e, c in pieces:
         factors = []
         for i, k in enumerate(e):
-            if k:
-                var = "x" if plain else f"x{i + 1}"
-                caret = f"{draw(SPACE)}^{draw(SPACE)}{k}" if k > 1 or draw(st.booleans()) else ""
+            var = "x" if plain else f"x{i + 1}"
+            if 2 <= k and draw(st.booleans()):
+                parts = [draw(st.integers(1, k - 1))]
+                parts.append(k - parts[0])
+            else:
+                parts = [k] if k or draw(st.booleans()) else []
+            for part in parts:
+                caret = f"{draw(SPACE)}^{draw(SPACE)}{part}" if part != 1 or draw(st.booleans()) else ""
                 factors.append(var + caret)
+        factors = draw(st.permutations(factors))
         num, den = abs(c.numerator), c.denominator
         star = f"{draw(SPACE)}*{draw(SPACE)}"
         body = star.join(factors)
