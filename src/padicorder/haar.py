@@ -4,7 +4,9 @@ Regions are cylinders ``center + p^depth * Zp^n`` with the normalization
 mu(Zp^n) = 1, so a depth-m cylinder has measure exactly p^(-m*n).
 Densities are |f|^(1/m) for a rational-coefficient polynomial f; their
 integrals are computed by residue-class subdivision on integers mod
-p^depth and returned as certified rational enclosures.
+p^depth and returned as certified rational enclosures.  The right side of
+the substitution identity, f(phi(x)) * det J(x)^m, and the Jacobian
+determinant are built in sympy's sparse ring QQ[x1..xn].
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
 from .errors import DepthZero, NonIntegralDensity
 from .intervals import RationalInterval, p_power_enclosure
@@ -57,9 +63,6 @@ class MultiPoly:
     def univariate(cls, coeffs) -> "MultiPoly":
         return cls.from_dict(1, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -74,70 +77,9 @@ class MultiPoly:
             total += v
         return total
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        d = self.as_dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
-        return MultiPoly.from_dict(self.nvars, d)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        d: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly.from_dict(self.nvars, d)
-
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)
         return MultiPoly.from_dict(self.nvars, {e: k * c for e, k in self.terms})
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def partial(self, i: int) -> "MultiPoly":
-        d: dict = {}
-        for e, c in self.terms:
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                d[tuple(e2)] = d.get(tuple(e2), Fraction(0)) + c * e[i]
-        return MultiPoly.from_dict(self.nvars, d)
-
-    def compose(self, args: list["MultiPoly"]) -> "MultiPoly":
-        """Substitute args[i] for variable i; args share a common nvars."""
-        if len(args) != self.nvars:
-            raise ValueError("wrong number of substitutions")
-        nv = args[0].nvars
-        out = MultiPoly.constant(nv, 0)
-        powers: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(nv, 1)} for _ in args
-        ]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * args[i]
-            return cache[k]
-
-        for e, c in self.terms:
-            term = MultiPoly.constant(nv, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
 
     def min_p_valuation(self, p: int):
         """min over coefficients of v_p; INF for the zero polynomial."""
@@ -146,17 +88,25 @@ class MultiPoly:
         return min(rational_valuation(c, p) for _, c in self.terms)
 
 
-def _det(m: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    nv = m[0][0].nvars
-    out = MultiPoly.constant(nv, 0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+def _into_ring(r, f: MultiPoly):
+    return r.from_dict({e: QQ(c.numerator, c.denominator) for e, c in f.terms})
+
+
+def _out_of_ring(nvars: int, g) -> MultiPoly:
+    return MultiPoly.from_dict(
+        nvars, {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.items()}
+    )
+
+
+def _ring_jacobian(phi: "PolyMap"):
+    """phi's components and det J in sympy's sparse ring QQ[x1..xn]."""
+    if phi.target_dim != phi.source_dim:
+        raise ValueError("Jacobian determinant needs a square map")
+    n = phi.source_dim
+    r, *xs = ring([f"x{i + 1}" for i in range(n)], QQ)
+    comps = [_into_ring(r, c) for c in phi.components]
+    jac = [[c.diff(x) for x in xs] for c in comps]
+    return comps, DomainMatrix(jac, (n, n), r.to_domain()).det()
 
 
 # --- domain types -----------------------------------------------------------
@@ -243,12 +193,7 @@ class PolyMap:
         return cls(tuple(MultiPoly.variable(n, i) for i in range(n)))
 
     def jacobian_det(self) -> MultiPoly:
-        if self.target_dim != self.source_dim:
-            raise ValueError("Jacobian determinant needs a square map")
-        n = self.source_dim
-        return _det(
-            [[self.components[i].partial(j) for j in range(n)] for i in range(n)]
-        )
+        return _out_of_ring(self.source_dim, _ring_jacobian(self)[1])
 
     def __call__(self, point) -> tuple[Fraction, ...]:
         return tuple(c(point) for c in self.components)
@@ -404,8 +349,9 @@ def change_of_variables_check(
     region = Cylinder.unit_polydisc(p, n)
     lhs = integrate(d, region, max_depth)
     m = d.root_index
-    composed = d.f.compose(list(phi.components))
-    rhs_poly = composed * (phi.jacobian_det() ** m)
+    comps, det = _ring_jacobian(phi)
+    composed = _into_ring(det.ring, d.f).compose(list(zip(det.ring.gens, comps)))
+    rhs_poly = _out_of_ring(n, composed * det**m)
     rhs = integrate(PolyDensity(rhs_poly, m), region, max_depth)
     return lhs.intersects(rhs), lhs, rhs
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy import integer_nthroot
+
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -61,25 +63,6 @@ class RationalInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def integer_kth_root(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    x = 1 << (-(-n.bit_length() // k))  # upper-ish starting point
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x**k > n:
-        x -= 1
-    return x
-
-
 def kth_root_enclosure(r: Fraction, k: int, scale_bits: int) -> RationalInterval:
     """Dyadic enclosure of r**(1/k) with width <= 2**(-scale_bits).
 
@@ -92,7 +75,7 @@ def kth_root_enclosure(r: Fraction, k: int, scale_bits: int) -> RationalInterval
     s = 1 << scale_bits
     # floor(r^(1/k) * s) = floor((r.num * s^k / r.den)^(1/k))
     n = r.numerator * s**k
-    lo_int = integer_kth_root(n // r.denominator, k)
+    lo_int = integer_nthroot(n // r.denominator, k)[0]
     lo = Fraction(lo_int, s)
     hi = lo if lo**k == r else Fraction(lo_int + 1, s)
     return RationalInterval(lo, hi)

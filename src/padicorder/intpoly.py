@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy.polys.densearith import dup_rr_div
+from sympy.polys.densearith import dup_mul, dup_rr_div
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
@@ -89,13 +89,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(c * sign // g for c in self.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.from_coeffs(out)
+        return IntPolynomial.from_coeffs(reversed(dup_mul(_dense(self), _dense(other), ZZ)))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))

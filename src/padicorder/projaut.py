@@ -343,6 +343,11 @@ def ball_measure(p: int, t: int) -> Fraction:
     return Fraction(p) ** t
 
 
+# bound on (M+1)*s*p.bit_length(), which bounds the bits of the ledger's
+# largest power p^((M+1)s); its Fraction arithmetic grows with that power
+_MAX_LEDGER_BITS = 2**12
+
+
 def verify_shell_tiling(p: int, s: int, m_range: int):
     """Exact ledger for the multiplicative tiling by alpha^N * A.
 
@@ -350,11 +355,14 @@ def verify_shell_tiling(p: int, s: int, m_range: int):
     scaling law mu(alpha^N A) = p^(Ns) mu(A), and that the truncated sum
     equals the annulus measure computed independently from ball
     measures — the finite shadow of the 0-or-infinity divergence.
-    Returns (balanced, ledger dict with exact rationals).
+    Returns (balanced, ledger dict with exact rationals).  Refuses a
+    ledger whose largest power p^((M+1)s) may need more than 2^12 bits.
     """
     shell = ShellSet(p, s)
     if m_range < 0:
         raise ValueError("m_range must be >= 0")
+    if (m_range + 1) * s * p.bit_length() > _MAX_LEDGER_BITS:
+        raise ValueError(f"p^((M+1)s) may need more than {_MAX_LEDGER_BITS} bits")
     mu_a = shell.measure()
     seen: set[int] = set()
     disjoint = True

@@ -108,6 +108,12 @@ def test_tile_balanced_exit_0(capsys):
     assert doc["total"] == "242/27" == doc["annulus"]
 
 
+def test_tile_huge_ledger_exit_1(capsys, deadline):
+    with deadline(1):
+        code, _, err = run(capsys, "tile", "--prime", "2", "--scale", "1", "--range", "4095")
+    assert code == 1 and "4096 bits" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

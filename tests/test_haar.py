@@ -2,6 +2,7 @@
 forms, pushforward, change of variables, scaling."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -321,3 +322,107 @@ def test_integrate_refuses_too_many_children_per_cylinder(deadline):
     # tens of MB; they are refused before any of them is built
     with deadline(1), pytest.raises(ValueError, match="children"):
         integrate(PolyDensity(MultiPoly.variable(17, 0), 1), Cylinder.unit_polydisc(2, 17), 2)
+
+
+# --- the substitution identity's right side, checked pointwise ---------------
+
+
+def _random_poly(rng, n, degree, coeff):
+    d = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(n)] += 1
+        d[tuple(e)] = d.get(tuple(e), 0) + coeff(sum(e))
+    return MultiPoly.from_dict(n, d)
+
+
+def _measure_preserving_map(rng, n, p):
+    """Unit linear part mod p, degree-2 terms in pZ, integer constants."""
+    while True:
+        lin = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if _det_by_hand(lin) % p:
+            break
+    comps = []
+    for row in lin:
+        d = {(0,) * n: rng.randint(-2, 2)}
+        d.update({tuple(int(i == j) for i in range(n)): c for j, c in enumerate(row)})
+        extra = _random_poly(rng, n, 2, lambda deg: p * rng.randint(-2, 2) if deg >= 2 else 0)
+        for e, c in extra.terms:
+            d[e] = d.get(e, 0) + c
+        comps.append(MultiPoly.from_dict(n, d))
+    return PolyMap(tuple(comps))
+
+
+def _jacobian_by_hand(phi, a):
+    """d phi_i / d x_j at the point a, each monomial differentiated by hand."""
+    rows = []
+    for comp in phi.components:
+        row = []
+        for j in range(len(a)):
+            total = Fraction(0)
+            for e, c in comp.terms:
+                if e[j]:
+                    term = c * e[j]
+                    for i, (x, k) in enumerate(zip(a, e)):
+                        term *= x ** (k - (i == j))
+                    total += term
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def _det_by_hand(m):
+    """Exact determinant of a 1x1, 2x2 or 3x3 matrix."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _random_point(rng, n):
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+def test_change_of_variables_right_side_pointwise(monkeypatch):
+    import padicorder.haar as haar
+
+    densities = []
+
+    def record(d, region, max_depth):
+        densities.append(d)
+        return RationalInterval.point(0)
+
+    monkeypatch.setattr(haar, "integrate", record)
+    rng = random.Random("cov-pointwise")
+    for _ in range(60):
+        n, p, m = rng.randint(1, 3), rng.choice([2, 3, 5]), rng.randint(1, 2)
+        phi = _measure_preserving_map(rng, n, p)
+        f = _random_poly(rng, n, 2, lambda deg: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) or 1)
+        densities.clear()
+        change_of_variables_check(phi, PolyDensity(f, m), p, 2)
+        lhs, rhs = densities
+        assert lhs == PolyDensity(f, m) and rhs.root_index == m
+        for _ in range(3):
+            a = _random_point(rng, n)
+            det = _det_by_hand(_jacobian_by_hand(phi, a))
+            assert rhs.f(a) == f(phi(a)) * det**m
+
+
+def test_jacobian_det_pointwise():
+    rng = random.Random("jacobian-pointwise")
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        phi = PolyMap(
+            tuple(
+                _random_poly(rng, n, 3, lambda deg: Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                for _ in range(n)
+            )
+        )
+        jac = phi.jacobian_det()
+        assert isinstance(jac, MultiPoly) and jac.nvars == n
+        for _ in range(3):
+            a = _random_point(rng, n)
+            assert jac(a) == _det_by_hand(_jacobian_by_hand(phi, a))

@@ -326,6 +326,14 @@ def test_verify_shell_tiling_exact_ledger():
         assert entry["measure"] == Fraction(3) ** entry["n"] * ledger["mu_A"]
 
 
+def test_shell_tiling_ledger_bound():
+    # (M+1) * s * p.bit_length() may reach 4096 and no further
+    assert verify_shell_tiling(2, 2048, 0)[0]
+    for p, s, m_range in [(2, 2049, 0), (3, 1, 2048), (5, 1, 40000)]:
+        with pytest.raises(ValueError, match="bits"):
+            verify_shell_tiling(p, s, m_range)
+
+
 def test_shell_tiling_divergence():
     prev = Fraction(0)
     for m_range in (1, 2, 3, 4):

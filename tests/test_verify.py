@@ -259,7 +259,7 @@ def test_strict_rational_reader():
 
 
 def test_density_with_python_call_is_a_parse_error():
-    # sympy's parser would evaluate len('ab') and return x + 2
+    # the grammar reads only a sum of monomials, so a call is no term
     with pytest.raises(ParseError):
         parse_multipoly("x + len('ab')")
 
@@ -275,10 +275,10 @@ def test_integral_document_with_python_density_is_invalid(capsys, tmp_path, hone
     assert code == 2 and "INVALID" in out and "malformed" in out
 
 
-# sympy expands what a density describes: 14 bracketed factors took
-# 11.8 s, each extra factor about 4 times more, and a power tower grows
-# faster still.  Parentheses and powers of anything but a variable are
-# refused before sympy sees the text.
+# Expanding what these densities describe is slow: 14 bracketed factors
+# took 11.8 s, each extra factor about 4 times more, and a power tower
+# grows faster still.  The grammar has no parentheses and allows a power
+# only on a variable, so these texts are refused as they are read.
 BLOW_UP_DENSITIES = [
     "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(14)),
     "((x+1)^30)^30",
@@ -297,6 +297,20 @@ def test_density_power_rule(text):
     with pytest.raises(ParseError):
         parse_multipoly(text)
     assert parse_multipoly("x1^999 * x2 ^ 2 - x2^3/7", 2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "tile", "prime": 3, "scale": 1, "m_range": 40000},
+        {"kind": "tile", "prime": 3, "scale": 3000000, "m_range": 0},
+    ],
+)
+def test_tile_document_with_huge_ledger_is_invalid(capsys, tmp_path, deadline, doc):
+    # building these ledgers, with powers up to p^((M+1)s), runs past 30 s
+    with deadline(1):
+        code, out = verify(capsys, tmp_path, doc)
+    assert code == 2 and "INVALID" in out and "bits" in out
 
 
 def test_integral_document_with_blow_up_density_is_invalid(capsys, tmp_path, honest_docs, deadline):
