@@ -31,7 +31,8 @@ from .places import (
 )
 from .projaut import (
     OrderVerdict,
-    ProjAutSpec,
+    certify_diagonal,
+    projective_order,
     verify_shell_tiling,
 )
 from . import parsing
@@ -65,21 +66,26 @@ def _verdict_doc(verdict: OrderVerdict, input_doc: dict) -> dict:
     return doc
 
 
-def _parse_aut_spec(args) -> tuple[ProjAutSpec, dict]:
-    if args.matrix is not None:
-        rows = parsing.parse_matrix(args.matrix)
-        spec = ProjAutSpec.from_matrix(rows)
-        return spec, {"matrix": [[_frac_str(x) for x in row] for row in rows]}
-    polys = [parsing.parse_polynomial(t) for t in args.eigenvalues.split(";")]
-    specs = [AlgebraicNumberSpec.from_poly(f, prove=True) for f in polys]
-    return ProjAutSpec.from_eigenvalues(specs), {
-        "eigenvalue_polys": [[str(c) for c in f.coeffs] for f in polys]
-    }
+def _order_verdict(input_doc: dict) -> OrderVerdict:
+    """The verdict on an order document's input, read strictly."""
+    if "matrix" in input_doc:
+        return projective_order([[_frac(x) for x in row] for row in input_doc["matrix"]])
+    return certify_diagonal(
+        AlgebraicNumberSpec.from_poly(
+            IntPolynomial.from_coeffs([_int(c) for c in coeffs]), prove=True
+        )
+        for coeffs in input_doc["eigenvalue_polys"]
+    )
 
 
 def cmd_order(args) -> int:
-    spec, input_doc = _parse_aut_spec(args)
-    verdict = spec.certify()
+    if args.matrix is not None:
+        rows = parsing.parse_matrix(args.matrix)
+        input_doc = {"matrix": [[_frac_str(x) for x in row] for row in rows]}
+    else:
+        polys = [parsing.parse_polynomial(t) for t in args.eigenvalues.split(";")]
+        input_doc = {"eigenvalue_polys": [[str(c) for c in f.coeffs] for f in polys]}
+    verdict = _order_verdict(input_doc)
     doc = _verdict_doc(verdict, input_doc)
     lines = [f"verdict: {doc['verdict']}"]
     if verdict.is_finite:
@@ -223,17 +229,7 @@ def _same_json(recomputed: dict, claimed: dict) -> bool:
 
 def _verify_order_doc(doc: dict) -> bool:
     inp = doc["input"]
-    if "matrix" in inp:
-        spec = ProjAutSpec.from_matrix([[_frac(x) for x in row] for row in inp["matrix"]])
-    else:
-        specs = [
-            AlgebraicNumberSpec.from_poly(
-                IntPolynomial.from_coeffs([_int(c) for c in coeffs]), prove=True
-            )
-            for coeffs in inp["eigenvalue_polys"]
-        ]
-        spec = ProjAutSpec.from_eigenvalues(specs)
-    if not _same_json(_verdict_doc(spec.certify(), inp), doc):
+    if not _same_json(_verdict_doc(_order_verdict(inp), inp), doc):
         return False
     if "certificate" in doc:
         return verify_witness_certificate(witness_cert_from_doc(doc["certificate"]))
@@ -368,8 +364,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

@@ -39,6 +39,7 @@ from .intervals import RationalInterval
 from .intpoly import IntPolynomial, is_squarefree
 
 MAX_PRECISION_BITS = 53 << 6  # working-precision cap of the approximation step
+MAX_FALLBACK_DEGREE = 32  # verify_witness_certificate re-isolates no higher degree
 MAX_SHRINK_STEPS = 64  # Krawczyk steps allowed per box when shrinking
 _GUARD_BITS = 8  # grid and inverse precision below a box's width
 

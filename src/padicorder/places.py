@@ -28,7 +28,7 @@ from .intpoly import (
     is_squarefree,
     root_of_unity_order,
 )
-from .isolation import ComplexBox, isolate_roots, isolates_one_root
+from .isolation import MAX_FALLBACK_DEGREE, ComplexBox, isolate_roots, isolates_one_root
 from .padic import PPower, padic_valuation
 
 UNCONDITIONAL = "Unconditional"
@@ -234,7 +234,8 @@ def product_formula_check(r) -> bool:
 def verify_witness_certificate(cert: WitnessCertificate) -> bool:
     """Re-check a certificate from only (polynomial, place) data.  An
     archimedean box passes one strict Krawczyk test, or else, re-isolated
-    at a quarter of its width, holds one root and none across its edge."""
+    at a quarter of its width, holds one root and none across its edge.
+    That fallback raises MaxPrecisionExceeded above MAX_FALLBACK_DEGREE."""
     f = cert.alpha.defining_poly.primitive_part()
     if cert.norm_bound <= 1:
         return False
@@ -261,6 +262,8 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
         if isolates_one_root(f, box):
             return True
         # fallback, e.g. for older documents' bisection boxes
+        if f.degree > MAX_FALLBACK_DEGREE:
+            raise MaxPrecisionExceeded(f"no re-isolation above degree {MAX_FALLBACK_DEGREE}")
         inside = 0
         for b in isolate_roots(f, max(box.width / 4, Fraction(1, 2**40))):
             if box.contains_box(b):

@@ -3,12 +3,15 @@
 A class [M] in PGL_n has finite order iff M is semisimple and
 N = M^n / det M has finite order in GL_n.  The eigenvalues of N are
 mu_i = prod_j lambda_i / lambda_j, products of the eigenvalue ratios of
-M, so everything reduces to exact rational linear algebra on n x n
-matrices: a squarefree minimal polynomial of M, and a minimal
-polynomial of N whose factors are all cyclotomic.  Infinite order comes
-with a re-checkable reason: a repeated factor of the minimal polynomial
-of M (non-semisimplicity), or a local-field witness that some
-eigenvalue of N lies off the unit circle at a place.
+M.  Everything is exact rational linear algebra on small matrices: the
+minimal polynomial mp of M must be squarefree, and then the decision
+runs in Q[M], which is Q[x]/(mp).  There M acts as the d x d companion
+matrix C of mp (d = deg mp) with the cyclic vector 1, so the minimal
+polynomial of N is the annihilator of 1 under C^n / det M, and M^k is
+scalar iff C^k 1 is a constant; no n x n power of M is formed.
+Infinite order comes with a re-checkable reason: a repeated factor of
+mp (non-semisimplicity), or a local-field witness that some eigenvalue
+of N lies off the unit circle at a place.
 
 Determinants, inverses, powers and Krylov annihilators run on sympy's
 DomainMatrix over QQ.  The Fraction helpers identity_matrix, mat_mul,
@@ -93,15 +96,12 @@ def _fraction(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
-def _fractions(a: DomainMatrix) -> Matrix:
-    return tuple(tuple(_fraction(x) for x in row) for row in a.to_list())
-
-
 def mat_inv(a: Matrix) -> Matrix:
     try:
-        return _fractions(_qq_matrix(a).inv())
+        inv = _qq_matrix(a).inv()
     except DMNonInvertibleMatrixError:
         raise ValueError("matrix is singular") from None
+    return tuple(tuple(_fraction(x) for x in row) for row in inv.to_list())
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -118,10 +118,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def _is_scalar(a: DomainMatrix) -> bool:
-    return a.is_diagonal and len(set(a.diagonal())) == 1
 
 
 def is_scalar_matrix(a: Matrix) -> bool:
@@ -205,31 +201,6 @@ class OrderVerdict:
         return self.kind == "finite"
 
 
-@dataclass(frozen=True)
-class ProjAutSpec:
-    """A projective automorphism: rational matrix or eigenvalue list
-    (the leading eigenvalue is the implicit normalized 1)."""
-
-    matrix: Matrix | None = None
-    eigenvalues: tuple[AlgebraicNumberSpec, ...] | None = None
-
-    @classmethod
-    def from_matrix(cls, rows) -> "ProjAutSpec":
-        m = as_matrix(rows)
-        if mat_det(m) == 0:
-            raise ValueError("matrix is singular")
-        return cls(matrix=m)
-
-    @classmethod
-    def from_eigenvalues(cls, specs) -> "ProjAutSpec":
-        return cls(eigenvalues=tuple(specs))
-
-    def certify(self) -> OrderVerdict:
-        if self.matrix is not None:
-            return projective_order(self.matrix)
-        return certify_diagonal(self.eigenvalues)
-
-
 def projective_order(m) -> OrderVerdict:
     """Finite/infinite order of the class of M in PGL, with certificate."""
     qm = _qq_matrix(m)
@@ -242,17 +213,27 @@ def projective_order(m) -> OrderVerdict:
         return OrderVerdict(
             kind="infinite", reason=NOT_SEMISIMPLE, jordan_evidence=evidence
         )
-    n = qm.shape[0]
-    big_n = _fractions(qm**n * (1 / det))
-    matched, rem = factor_out_cyclotomics(minimal_polynomial(big_n))
+    # Q[M] is Q[x]/(mp): M acts as the companion matrix c of mp, and 1 = e0
+    # is a cyclic vector, so N's minimal polynomial is e0's annihilator
+    n, d = qm.shape[0], mp.degree
+    c = DomainMatrix(
+        [
+            [QQ(1 if i == j + 1 else 0) for j in range(d - 1)] + [QQ(-a, mp.leading)]
+            for i, a in enumerate(mp.coeffs[:-1])
+        ],
+        (d, d),
+        QQ,
+    )
+    e0 = DomainMatrix.eye(d, QQ)[:, 0]
+    matched, rem = factor_out_cyclotomics(_annihilator(c**n * (1 / det), e0))
     if rem.coeffs == (1,):
-        # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k
-        bound = n * math.lcm(*matched)
-        order = next(
-            k
-            for k in range(1, bound + 1)
-            if bound % k == 0 and _is_scalar(qm**k)
-        )
+        # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k;
+        # M^k is scalar iff x^k mod mp, the vector c^k e0, is a constant
+        v = e0
+        for order in range(1, n * math.lcm(*matched) + 1):
+            v = c * v
+            if v[1:, :].is_zero_matrix:
+                break
         return OrderVerdict(kind="finite", order=order)
     result = find_witness(AlgebraicNumberSpec.from_poly(rem, prove=True))
     assert isinstance(result, Witness)

@@ -46,6 +46,28 @@ def test_order_rank_one_matrix_exit_1(capsys):
     assert code == 1 and "matrix is singular" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "--matrix", "-1,0;0,1"),  # argparse reads -1,0;0,1 as an option
+        (),
+        ("order",),
+        ("frobnicate",),
+        ("tile", "--prime", "two", "--scale", "1", "--range", "1"),
+    ],
+)
+def test_usage_error_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "usage:" in err
+
+
+def test_help_exit_0_and_negative_first_entry(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage:" in out
+    code, out, _ = run(capsys, "order", "--matrix=-1,0;0,1")
+    assert code == 0 and "projective order: 2" in out
+
+
 def test_witness_root_of_unity_exit_0(capsys):
     code, doc = run_json(capsys, "witness", "x^2 - x + 1")
     assert code == 0

@@ -20,6 +20,7 @@ from padicorder import (
     ZeroRoot,
     cyclotomic,
     find_witness,
+    is_squarefree,
     newton_polygon,
     padic_witness,
     product_formula_check,
@@ -191,6 +192,25 @@ def test_archimedean_witness_isolates_once(monkeypatch):
     cert = places.archimedean_witness(LEHMER)
     assert len(calls) == 1
     assert cert.modulus_squared.lo > 1
+    assert verify_witness_certificate(cert)
+
+
+def test_honest_degree_40_witness_verifies_without_isolating(monkeypatch):
+    # above degree 32 the verifier refuses to re-isolate, so an honest
+    # witness must pass the strict Krawczyk test on its own box
+    import padicorder.places as places
+
+    rng = random.Random(40)
+    while True:
+        f = IntPolynomial.from_coeffs([rng.randint(-5, 5) for _ in range(40)] + [1])
+        if f.constant != 0 and is_squarefree(f):
+            break
+    cert = places.archimedean_witness(f)
+
+    def refuse(f, eps):
+        raise AssertionError("the verifier re-isolated")
+
+    monkeypatch.setattr(places, "isolate_roots", refuse)
     assert verify_witness_certificate(cert)
 
 

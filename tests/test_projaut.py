@@ -8,7 +8,6 @@ import pytest
 from padicorder import (
     AlgebraicNumberSpec,
     IntPolynomial,
-    ProjAutSpec,
     ShellSet,
     ball_measure,
     certify_diagonal,
@@ -231,6 +230,42 @@ def test_minimal_polynomial_oracle_on_disguised_blocks():
         for q, _ in factor_list(poly)[1]:
             proper = [Fraction(int(c)) for c in reversed(poly.exquo(q).all_coeffs())]
             assert _evaluate(proper, m) != zero
+
+
+def test_projective_order_oracle_on_repeated_blocks():
+    # Sums of repeated companion blocks are semisimple, and repeats make
+    # N = M^n / det M derogatory, where its minimal polynomial is an lcm
+    # over several vectors; the decision in Q[x]/(mp) must match the
+    # Fraction references on each disguise lam * P * M * P^-1.
+    pool = [companion(cyclotomic(d)) for d in (1, 2, 3, 4, 5, 6, 8, 10, 12)] + [
+        companion(IntPolynomial((-1, -1, 1))),
+        companion(IntPolynomial((1, -3, 1))),
+        companion(IntPolynomial((-1, -1, 0, 1))),
+        F([[0, -1], [1, Fraction(6, 5)]]),  # 5x^2 - 6x + 5's rational companion
+        F([[2]]),
+        F([[Fraction(-1, 2)]]),
+    ]
+    rng = random.Random(20261019)
+    derogatory = finite = 0
+    for seed in range(200):
+        blocks = [rng.choice(pool)]
+        while rng.random() < 0.85:
+            b = rng.choice(blocks + blocks + pool)
+            if sum(map(len, blocks)) + len(b) <= 5:
+                blocks.append(b)
+        m = disguise(block_diag(*blocks), seed)
+        n = len(m)
+        v = projective_order(m)
+        big_n = tuple(tuple(x / mat_det(m) for x in row) for row in mat_pow(m, n))
+        mp_n = minimal_polynomial(big_n)
+        derogatory += mp_n.degree < n
+        if v.is_finite:
+            finite += 1
+            assert min_scalar_power(m, v.order) == v.order
+        else:
+            assert v.reason == "EigenvalueWitness"
+            assert v.certificate.alpha.defining_poly == factor_out_cyclotomics(mp_n)[1]
+    assert derogatory >= 50 and 50 <= finite <= 150
 
 
 def test_singular_matrix_raises():

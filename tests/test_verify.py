@@ -13,8 +13,9 @@ import pytest
 
 from padicorder.cli import main
 from padicorder.errors import ParseError
+from padicorder.intpoly import IntPolynomial, check_irreducible, is_squarefree
 from padicorder.parsing import parse_multipoly
-from padicorder.places import _frac
+from padicorder.places import _conditionality, _frac
 
 LEHMER = "x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"
 
@@ -330,6 +331,126 @@ def test_bad_json_exit_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 1
+
+
+# --- golden order documents ----------------------------------------------------
+
+# `--json order` output as printed before the decision moved into Q[x]/(mp),
+# in compact form; the command must still print each one byte for byte.
+GOLDEN_ORDER_DOCS = {
+    # [[2,1],[1,1]]: N's minimal polynomial x^2 - 7x + 1, archimedean witness
+    "arch_nested_witness": (
+        ("--matrix=2,1;1,1",),
+        2,
+        '{"kind": "order", "verdict": "infinite",'
+        ' "conditionality": "Unconditional",'
+        ' "input": {"matrix": [["2/1", "1/1"], ["1/1", "1/1"]]},'
+        ' "reason": "EigenvalueWitness",'
+        ' "certificate": {"case": "witness", "alpha_poly": ["1", "-7",'
+        ' "1"], "conditionality": "Unconditional",'
+        ' "slope_convention": "root valuation = -slope",'
+        ' "place": {"type": "archimedean",'
+        ' "box": {"re": ["3768082388543/549755813888",'
+        ' "3768082421311/549755813888"], "im": ["0/1", "0/1"]}},'
+        ' "norm_bound": {"num": "224595", "den": "32768"},'
+        ' "modulus_squared": ["14198444886847920017662849/302231454903657293676544",'
+        ' "14198445133792968506958721/302231454903657293676544"]}}'
+    ),
+    # diag(2,3): N = diag(2/3, 3/2), whose 6x^2 - 13x + 6 has a 2-adic witness
+    "padic_nested_witness": (
+        ("--matrix=2,0;0,3",),
+        2,
+        '{"kind": "order", "verdict": "infinite",'
+        ' "conditionality": "ConditionalOnIrreducibility",'
+        ' "input": {"matrix": [["2/1", "0/1"], ["0/1", "3/1"]]},'
+        ' "reason": "EigenvalueWitness",'
+        ' "certificate": {"case": "witness", "alpha_poly": ["6",'
+        ' "-13", "6"],'
+        ' "conditionality": "ConditionalOnIrreducibility",'
+        ' "slope_convention": "root valuation = -slope",'
+        ' "place": {"type": "non_archimedean", "prime": 2,'
+        ' "slope": "1/1", "segment_index": 1}, "norm_bound": {"p": 2,'
+        ' "exponent": "1/1"}}}'
+    ),
+    # a Jordan block
+    "not_semisimple": (
+        ("--matrix=1,1;0,1",),
+        2,
+        '{"kind": "order", "verdict": "infinite",'
+        ' "conditionality": "Unconditional",'
+        ' "input": {"matrix": [["1/1", "1/1"], ["0/1", "1/1"]]},'
+        ' "reason": "NotSemisimple", "jordan_evidence": ["-1", "1"]}'
+    ),
+    # (3/7) P C P^-1 for the companion C of the 12th cyclotomic polynomial
+    "phi12_disguised": (
+        (
+            "--matrix=3/28,-3/28,9/28,-3/28;6/7,0,-3/7,3/7;"
+            "9/28,3/28,-9/28,-9/28;3/14,3/14,-3/14,3/14",
+        ),
+        0,
+        '{"kind": "order", "verdict": "finite",'
+        ' "conditionality": "Unconditional",'
+        ' "input": {"matrix": [["3/28", "-3/28", "9/28", "-3/28"],'
+        ' ["6/7", "0/1", "-3/7", "3/7"], ["9/28", "3/28", "-9/28",'
+        ' "-9/28"], ["3/14", "3/14", "-3/14", "3/14"]]}, "order": 6}'
+    ),
+    # Phi_3 + Phi_3 + [1]: order 3, and N = M^5 has a derogatory minimal polynomial
+    "phi3_phi3_one": (
+        ("--matrix=0,-1,0,0,0;1,-1,0,0,0;0,0,0,-1,0;0,0,1,-1,0;0,0,0,0,1",),
+        0,
+        '{"kind": "order", "verdict": "finite",'
+        ' "conditionality": "Unconditional",'
+        ' "input": {"matrix": [["0/1", "-1/1", "0/1", "0/1", "0/1"],'
+        ' ["1/1", "-1/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1",'
+        ' "-1/1", "0/1"], ["0/1", "0/1", "1/1", "-1/1", "0/1"],'
+        ' ["0/1", "0/1", "0/1", "0/1", "1/1"]]}, "order": 3}'
+    ),
+    "eigenvalues": (
+        ("--eigenvalues", "x^2 + 1; [1,1]"),
+        0,
+        '{"kind": "order", "verdict": "finite",'
+        ' "conditionality": "Unconditional",'
+        ' "input": {"eigenvalue_polys": [["1", "0", "1"], ["1",'
+        ' "1"]]}, "order": 4}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORDER_DOCS))
+def test_golden_order_document(capsys, tmp_path, name):
+    argv, code, golden = GOLDEN_ORDER_DOCS[name]
+    assert main(["--json", "order", *argv]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(golden), indent=2) + "\n"
+    assert verify(capsys, tmp_path, json.loads(out)) == (0, "certificate VALID (order)\n")
+
+
+# --- the verifier's re-isolation fallback -------------------------------------
+
+
+def test_fallback_refused_above_degree_32(capsys, tmp_path, deadline):
+    # a false box [2, 3] x [0, 0] on a seeded monic polynomial of degree 160
+    # fails the strict test; re-isolating all 160 roots ran past 120 s
+    rng = random.Random(160)
+    while True:
+        f = IntPolynomial.from_coeffs([rng.randint(-5, 5) for _ in range(160)] + [1])
+        if f.constant != 0 and is_squarefree(f):
+            break
+    status = check_irreducible(f)
+    doc = {
+        "kind": "witness",
+        "case": "witness",
+        "alpha_poly": [str(c) for c in f.coeffs],
+        "irreducibility": status,
+        "conditionality": _conditionality(f, status),
+        "slope_convention": "root valuation = -slope",
+        "place": {"type": "archimedean", "box": {"re": ["2/1", "3/1"], "im": ["0/1", "0/1"]}},
+        "norm_bound": {"num": "2", "den": "1"},
+        "modulus_squared": ["4/1", "9/1"],
+    }
+    with deadline(10):
+        code, out = verify(capsys, tmp_path, doc)
+    assert code == 2 and "MaxPrecisionExceeded" in out and "INVALID" in out
 
 
 # --- seeded tamper suite ------------------------------------------------------
