@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .algnum import AlgebraicNumberSpec
-from .errors import PadicOrderError, ParseError
+from .errors import MaxPrecisionExceeded, PadicOrderError, ParseError
 from .haar import Cylinder, PolyDensity, cylinder_measure, integrate
 from .intpoly import IntPolynomial, check_irreducible, root_of_unity_order
 from .places import (
@@ -291,6 +291,10 @@ def cmd_verify(args) -> int:
         return 1
     try:
         ok = checkers[kind](doc)
+    except MaxPrecisionExceeded as exc:
+        # a cap of this verifier, not a defect of the document
+        print(f"{kind} certificate exceeds this verifier's limits: {exc!r}", file=sys.stderr)
+        ok = False
     except (
         ArithmeticError, AttributeError, LookupError, TypeError, ValueError, PadicOrderError
     ) as exc:

@@ -204,6 +204,10 @@ class PolyMap:
 
 # integrate lists the p^n children of a cylinder up front and refuses more than this
 _MAX_CHILDREN = 2**16
+# ... and refuses inputs whose exact numbers would exceed _MAX_BITS bits, or
+# whose walk would subdivide into more than _MAX_CYLINDERS cylinders
+_MAX_BITS = 2**13
+_MAX_CYLINDERS = 2**20
 
 
 def _scale_bits(p: int, max_depth: int) -> int:
@@ -238,6 +242,11 @@ def integrate(
         raise NonIntegralDensity(f"density has {d.f.nvars} variables, region has {n}")
     if p**n > _MAX_CHILDREN:
         raise ValueError(f"{p}^{n} children per cylinder exceed {_MAX_CHILDREN}")
+    bits = _scale_bits(p, max_depth)
+    # the tallies are over p^(nD), and each m-th root enclosure takes bits * m
+    need = n * max_depth * p.bit_length() + bits * m
+    if need > _MAX_BITS:
+        raise ValueError(f"integral needs numbers of {need} bits, above {_MAX_BITS}")
     t = max(0, -d.f.min_p_valuation(p))
     f = d.f.scale(Fraction(p) ** t)
     q = p**max_depth
@@ -248,6 +257,7 @@ def integrate(
     offsets: dict = {}  # depth k -> the child offsets p^k * r
     tally: dict = {}  # valuation -> measure * p^(n*D); None -> unresolved
     stack = [(center, region.depth)]
+    cylinders = 0
     while stack:
         a, k = stack.pop()
         value = 0
@@ -260,13 +270,15 @@ def integrate(
         v = padic_valuation(value, p) if value else None
         if v is None or v >= k:
             if k < max_depth:
+                cylinders += len(residues)
+                if cylinders > _MAX_CYLINDERS:
+                    raise ValueError(f"integral subdivides past {_MAX_CYLINDERS} cylinders")
                 if k not in offsets:
                     offsets[k] = [tuple(p**k * r for r in rs) for rs in residues]
                 stack.extend((tuple(map(add, a, off)), k + 1) for off in offsets[k])
                 continue
             v = None
         tally[v] = tally.get(v, 0) + p ** (n * (max_depth - k))
-    bits = _scale_bits(p, max_depth)
     total = RationalInterval.point(0)
     for v, count in tally.items():
         mu = Fraction(count, p ** (n * max_depth))
@@ -312,21 +324,21 @@ def pushforward_cylinder_measure(
     return split(source)
 
 
-def _measure_preserving(phi: PolyMap, p: int) -> bool:
-    """Sufficient condition for phi to be a measure-preserving bijection
-    of Zp^n: p-integral coefficients, every coefficient of total degree
-    >= 2 in pZp, and det J(0), the determinant of the linear part, a
-    p-adic unit.  Then every non-constant coefficient of det J lies in
-    pZp, so |det J| = 1 on Zp^n.  Rejects some valid maps, accepts no
-    invalid one; raises ValueError for a non-square map.
+def _measure_preserving(phi: PolyMap, det, p: int) -> bool:
+    """Sufficient condition for phi, with det J the ring element det, to be
+    a measure-preserving bijection of Zp^n: p-integral coefficients, every
+    coefficient of total degree >= 2 in pZp, and det J(0), the determinant
+    of the linear part, a p-adic unit.  Then every non-constant coefficient
+    of det J lies in pZp, so |det J| = 1 on Zp^n.  Rejects some valid maps,
+    accepts no invalid one.
     """
-    det0 = phi.jacobian_det()((Fraction(0),) * phi.source_dim)
+    det0 = det.coeff(1)  # the constant term, det J(0)
     for comp in phi.components:
         for e, c in comp.terms:
             v = rational_valuation(c, p)
             if v < 0 or (v < 1 and sum(e) >= 2):
                 return False
-    return rational_valuation(det0, p) == 0
+    return rational_valuation(Fraction(int(det0.numerator), int(det0.denominator)), p) == 0
 
 
 def change_of_variables_check(
@@ -342,14 +354,14 @@ def change_of_variables_check(
     from .errors import NonUnitJacobian
 
     n = phi.source_dim
-    if not _measure_preserving(phi, p):
+    comps, det = _ring_jacobian(phi)
+    if not _measure_preserving(phi, det, p):
         raise NonUnitJacobian(
             "map does not satisfy the unit-Jacobian sufficient condition"
         )
     region = Cylinder.unit_polydisc(p, n)
     lhs = integrate(d, region, max_depth)
     m = d.root_index
-    comps, det = _ring_jacobian(phi)
     composed = _into_ring(det.ring, d.f).compose(list(zip(det.ring.gens, comps)))
     rhs_poly = _out_of_ring(n, composed * det**m)
     rhs = integrate(PolyDensity(rhs_poly, m), region, max_depth)

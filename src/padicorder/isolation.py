@@ -12,11 +12,11 @@ Acta Numerica 2010):
   [0, 0], when the approximation lies within that radius of the real
   axis.
 - Certify: the set is accepted only when the n boxes are pairwise
-  disjoint and every box X passes Krawczyk's test K(X) ⊆ X, with
-  K(X) = y - Y f(y) + (1 - Y f'(X))(X - y) computed in exact rational
-  rectangle arithmetic.  K(X) ⊆ X puts a root in X, so n disjoint boxes
-  of a squarefree polynomial of degree n hold exactly one root each,
-  and together they hold every root.
+  disjoint and every box X passes isolates_one_root, the strict test
+  K(X) ⊂ int X that verify_witness_certificate applies, with
+  K(X) = y - Y f(y) + (1 - Y f'(X))(X - y) in exact rational rectangle
+  arithmetic.  It puts exactly one root in X, so n disjoint boxes of a
+  polynomial of degree n together hold every root.
 - Shrink: each box is brought to width at most eps by X <- K(X) ∩ X,
   rounded outward to dyadics.  The root is a fixed point of the Krawczyk
   map, so it stays inside; the sequence of boxes does not depend on eps,
@@ -162,12 +162,6 @@ def _box(x) -> ComplexBox:
     return ComplexBox(RationalInterval(x[0], x[1]), RationalInterval(x[2], x[3]))
 
 
-def _holds_root(f: IntPolynomial, df: IntPolynomial, x) -> bool:
-    """Krawczyk's test K(x) ⊆ x, which proves that x holds a root."""
-    k = _krawczyk(f, df, x)
-    return k is not None and _box(x).contains_box(_box(k))
-
-
 def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     """Krawczyk's strict test K(X) ⊂ int X, which proves that the closed
     box holds exactly one root of f: _rect_mul is an interval 2x2 matrix
@@ -219,8 +213,8 @@ def _candidates(f: IntPolynomial, prec: int):
     return rects
 
 
-def _certified_rects(f: IntPolynomial, df: IntPolynomial):
-    """n pairwise-disjoint rectangles, each certified to hold a root."""
+def _certified_rects(f: IntPolynomial):
+    """n pairwise-disjoint rectangles, each passing isolates_one_root."""
     prec = 53
     while prec <= MAX_PRECISION_BITS:
         rects = _candidates(f, prec)
@@ -228,7 +222,7 @@ def _certified_rects(f: IntPolynomial, df: IntPolynomial):
             boxes = [_box(x) for x in rects]
             if all(
                 not a.overlaps(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
-            ) and all(_holds_root(f, df, x) for x in rects):
+            ) and all(isolates_one_root(f, b) for b in boxes):
                 return rects
         prec *= 2
     raise MaxPrecisionExceeded(
@@ -278,7 +272,7 @@ def isolate_roots(f: IntPolynomial, eps) -> list[ComplexBox]:
     if eps <= 0:
         raise ValueError("eps must be positive")
     df = f.derivative()
-    boxes = [_shrink(f, df, x, eps) for x in _certified_rects(f, df)]
+    boxes = [_shrink(f, df, x, eps) for x in _certified_rects(f)]
     return sorted(
         boxes, key=lambda b: (b.real.lo, b.imag.lo, b.real.hi, b.imag.hi)
     )

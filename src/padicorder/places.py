@@ -163,9 +163,8 @@ def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     nonzero algebraic integer of degree d <= n that is not a root of
     unity has a conjugate z with |z| >= 2^(1/(4d)) >= h, and every point
     of a box of width eps around z has modulus >= h - sqrt(2)*eps > 1.
+    isolate_roots raises NotSquarefree for a repeated factor.
     """
-    if not is_squarefree(f):
-        raise NotSquarefree(f"{f} has a repeated factor")
     g = f.primitive_part()
     k = 4 * max(g.degree, 1)
     h = kth_root_enclosure(Fraction(2), k, k.bit_length() + 4).lo
@@ -199,12 +198,11 @@ def find_witness(alpha: AlgebraicNumberSpec):
     Exactly one of: (a) every factor of the defining polynomial is
     cyclotomic -> RootOfUnity; (b) the polynomial is non-monic -> p-adic
     witness; (c) monic and non-cyclotomic -> archimedean witness.
+    root_of_unity_order raises NotSquarefree for a repeated factor.
     """
     f = alpha.defining_poly.primitive_part()
     if f.constant == 0:
         raise ZeroRoot("0 is a root; the trichotomy applies to nonzero numbers")
-    if not is_squarefree(f):
-        raise NotSquarefree(f"{f} has a repeated factor")
     cond = _conditionality(f, alpha.irreducibility_status)
     order = root_of_unity_order(f)
     if order is not None:

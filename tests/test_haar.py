@@ -271,6 +271,27 @@ def test_change_of_variables_rejects(phi):
         change_of_variables_check(phi, d, 3, 4)
 
 
+def test_change_of_variables_builds_jacobian_once(monkeypatch):
+    from padicorder import haar
+
+    calls = []
+    real = haar._ring_jacobian
+    monkeypatch.setattr(haar, "_ring_jacobian", lambda phi: calls.append(phi) or real(phi))
+    # x -> (x1 + 3 x2^2, x2 + 3 x1 x3, x3 - x1): unit linear part at p = 3
+    phi = PolyMap(
+        tuple(
+            MultiPoly.from_dict(3, {e: Fraction(c) for e, c in d.items()})
+            for d in (
+                {(1, 0, 0): 1, (0, 2, 0): 3},
+                {(0, 1, 0): 1, (1, 0, 1): 3},
+                {(0, 0, 1): 1, (1, 0, 0): -1},
+            )
+        )
+    )
+    overlap, _, _ = change_of_variables_check(phi, PolyDensity(MultiPoly.variable(3, 0), 1), 3, 2)
+    assert overlap and len(calls) == 1
+
+
 def test_change_of_variables_non_square_map_raises_value_error():
     phi = PolyMap((_poly2({(1, 0): 1}), _poly2({(0, 1): 1}), _poly2({(1, 1): 3})))
     with pytest.raises(ValueError):

@@ -155,16 +155,29 @@ def _duplicated(rects):
     return [rects[0], rects[0]] + rects[2:]
 
 
-@pytest.mark.parametrize("tamper", [_moved_off_root, _duplicated])
-def test_certification_rejects_bad_candidates(monkeypatch, tamper):
-    """A box without a root fails Krawczyk's test; two boxes around one
-    root fail the disjointness check; so no precision certifies."""
+def _edge_root(rects):
+    # 2x - 3 on [1, 3/2] x [0, 0]: K(X) = {3/2} lies in X but touches its edge
+    return [(Fraction(1), Fraction(3, 2), Fraction(0), Fraction(0))]
+
+
+@pytest.mark.parametrize(
+    "coeffs, tamper",
+    [
+        pytest.param((-2, 0, 1), _moved_off_root, id="_moved_off_root"),
+        pytest.param((-2, 0, 1), _duplicated, id="_duplicated"),
+        pytest.param((-3, 2), _edge_root, id="_edge_root"),
+    ],
+)
+def test_certification_rejects_bad_candidates(monkeypatch, coeffs, tamper):
+    """A box without a root, or with a root on its edge, fails the strict
+    Krawczyk test that verify applies; two boxes around one root fail the
+    disjointness check; so no precision certifies."""
     honest = isolation._candidates
     monkeypatch.setattr(
         isolation, "_candidates", lambda f, prec: tamper(honest(f, prec))
     )
     with pytest.raises(MaxPrecisionExceeded):
-        isolate_roots(IntPolynomial((-2, 0, 1)), EPS)
+        isolate_roots(IntPolynomial(coeffs), EPS)
 
 
 @pytest.mark.parametrize("deg, a", [(10, 50), (12, 100)])

@@ -10,6 +10,7 @@ from padicorder import (
     AlgebraicNumberSpec,
     ComplexBox,
     IntPolynomial,
+    NotSquarefree,
     PPower,
     Place,
     RationalInterval,
@@ -85,6 +86,29 @@ def test_find_witness_trichotomy_cases():
 def test_find_witness_rejects_zero_root():
     with pytest.raises(ZeroRoot):
         find_witness(AlgebraicNumberSpec.from_poly(IntPolynomial((0, 1))))
+
+
+@pytest.mark.parametrize(
+    "coeffs, name",
+    [
+        ((2, 4, 2), "x^2 + 2*x + 1"),  # reported on the primitive part
+        ((1, 0, 2, 0, 1), "x^4 + 2*x^2 + 1"),  # (x^2 + 1)^2, cyclotomic factors
+        ((1, -4, 4), "4*x^2 - 4*x + 1"),  # (2x - 1)^2, non-monic
+        ((1, 2, -1, -2, 1), "x^4 - 2*x^3 - x^2 + 2*x + 1"),  # (x^2 - x - 1)^2
+    ],
+)
+def test_find_witness_rejects_repeated_factor(coeffs, name):
+    with pytest.raises(NotSquarefree) as exc:
+        find_witness(AlgebraicNumberSpec(IntPolynomial(coeffs)))
+    assert str(exc.value) == f"{name} has a repeated factor"
+
+
+def test_archimedean_witness_rejects_repeated_factor():
+    from padicorder import archimedean_witness
+
+    with pytest.raises(NotSquarefree) as exc:
+        archimedean_witness(IntPolynomial((1, 2, -1, -2, 1)))  # (x^2 - x - 1)^2
+    assert str(exc.value) == "x^4 - 2*x^3 - x^2 + 2*x + 1 has a repeated factor"
 
 
 def test_archimedean_golden_ratio_interval():

@@ -321,6 +321,28 @@ def test_integral_document_with_blow_up_density_is_invalid(capsys, tmp_path, hon
     assert code == 2 and "INVALID" in out and "malformed" in out
 
 
+# Unbounded, each of these ran for many seconds: depth 8000 for 50 s before
+# failing on Python's int-to-str limit, x1*x2-x3 at p = 5 past 40 s (its walk
+# keeps 25 times more cylinders a level), and |x|^(1/100000) at depth 10 for 3.3 s.
+INTEGRAL_BLOW_UPS = [
+    (("--prime", "2", "--density", "x", "--dim", "1"), 8000, 1, "bits"),
+    (("--prime", "5", "--density", "x1*x2-x3", "--dim", "3"), 6, 1, "cylinders"),
+    (("--prime", "2", "--density", "x", "--dim", "1"), 10, 100000, "bits"),
+]
+
+
+@pytest.mark.parametrize("argv, depth, m, cap", INTEGRAL_BLOW_UPS)
+def test_integral_blow_up_is_refused(capsys, tmp_path, deadline, argv, depth, m, cap):
+    with deadline(10):
+        code = main(["integrate", *argv, "--depth", str(depth), "--root-index", str(m)])
+    assert code == 1 and cap in capsys.readouterr().err
+    doc = produce(capsys, "integrate", *argv, "--depth", "2")
+    doc["depth"], doc["root_index"] = depth, m
+    with deadline(10):
+        code, out = verify(capsys, tmp_path, doc)
+    assert code == 2 and "INVALID" in out and cap in out
+
+
 @pytest.mark.parametrize("value", [[], [1, 2], "witness", 3, None])
 def test_non_object_is_unknown_kind(capsys, tmp_path, value):
     code, out = verify(capsys, tmp_path, value)
@@ -451,6 +473,8 @@ def test_fallback_refused_above_degree_32(capsys, tmp_path, deadline):
     with deadline(10):
         code, out = verify(capsys, tmp_path, doc)
     assert code == 2 and "MaxPrecisionExceeded" in out and "INVALID" in out
+    # a cap of the verifier, not a defect of the document
+    assert "limits" in out and "malformed" not in out
 
 
 # --- seeded tamper suite ------------------------------------------------------
