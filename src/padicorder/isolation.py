@@ -86,7 +86,24 @@ class ComplexBox:
         return f"{self.real} x {self.imag}"
 
 
-# A rectangle is a tuple (re_lo, re_hi, im_lo, im_hi) of dyadic Fractions.
+# A rectangle is a tuple (re_lo, re_hi, im_lo, im_hi, d) of integers: the
+# first four over the common denominator d > 0, the lcm of the endpoints'
+# own denominators.  The kernel below is exact integer arithmetic; a result
+# over another denominator returns it in the same place.
+
+
+def _rect(*ends) -> tuple:
+    """The rectangle with these rational endpoints."""
+    d = math.lcm(*(v.denominator for v in ends))
+    return tuple(v.numerator * (d // v.denominator) for v in ends) + (d,)
+
+
+def _box(x) -> ComplexBox:
+    d = x[4]
+    return ComplexBox(
+        RationalInterval(Fraction(x[0], d), Fraction(x[1], d)),
+        RationalInterval(Fraction(x[2], d), Fraction(x[3], d)),
+    )
 
 
 def _imul(a, b, c, d):
@@ -96,7 +113,8 @@ def _imul(a, b, c, d):
 
 
 def _rect_mul(x, y):
-    """Rectangle enclosing {u * v : u in x, v in y}."""
+    """Numerators enclosing {u * v : u in x, v in y}, over the product of
+    the denominators of x and y."""
     rr = _imul(x[0], x[1], y[0], y[1])
     ii = _imul(x[2], x[3], y[2], y[3])
     ri = _imul(x[0], x[1], y[2], y[3])
@@ -104,62 +122,84 @@ def _rect_mul(x, y):
     return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
 
 
-def _eval_point(coeffs, yr, yi):
-    """Exact f(yr + i yi)."""
-    ar = ai = Fraction(0)
-    for c in reversed(coeffs):
-        ar, ai = ar * yr - ai * yi + c, ar * yi + ai * yr
+def _eval_point(coeffs, yr, yi, q):
+    """q^n f((yr + i yi) / q), for f of degree n, exactly."""
+    ar, ai, qk = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        qk *= q
+        ar, ai = ar * yr - ai * yi + c * qk, ar * yi + ai * yr
     return ar, ai
 
 
 def _eval_rect(coeffs, x):
-    """Rectangle enclosing f(x), by Horner's rule."""
-    c = coeffs[-1]
+    """Numerators over d^n of a rectangle enclosing f(x), by Horner's rule."""
+    c, dk = coeffs[-1], 1
     acc = (c, c, 0, 0)
     for c in reversed(coeffs[:-1]):
+        dk *= x[4]
         lo, hi, ilo, ihi = _rect_mul(acc, x)
-        acc = (lo + c, hi + c, ilo, ihi)
+        acc = (lo + c * dk, hi + c * dk, ilo, ihi)
     return acc
 
 
-def _width(x) -> Fraction:
+def _width(x) -> int:
     return max(x[1] - x[0], x[3] - x[2])
 
 
-def _log2_inv(w: Fraction) -> int:
-    """About -log2(w) for w > 0."""
-    return w.denominator.bit_length() - w.numerator.bit_length()
+def _log2_inv(num: int, den: int) -> int:
+    """About -log2(num / den), read from the reduced fraction."""
+    g = math.gcd(num, den)
+    return (den // g).bit_length() - (num // g).bit_length()
 
 
-def _scale(s: int) -> Fraction:
-    return Fraction(2) ** s
+def _round(num: int, den: int) -> int:
+    """num / den to the nearest integer, ties to even, for den > 0."""
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q & 1))
 
 
 def _krawczyk(f: IntPolynomial, df: IntPolynomial, x):
     """K(x) for y the centre of x and Y a dyadic approximation of
     1/f'(y); None when f'(y) = 0."""
-    y_re, y_im = (x[0] + x[1]) / 2, (x[2] + x[3]) / 2
-    d_re, d_im = _eval_point(df.coeffs, y_re, y_im)
-    d2 = d_re * d_re + d_im * d_im
+    q = 2 * x[4]  # x over q, so that the centre y has integer numerators
+    x = (2 * x[0], 2 * x[1], 2 * x[2], 2 * x[3], q)
+    yr, yi = (x[0] + x[1]) // 2, (x[2] + x[3]) // 2
+    qm = q**df.degree
+    dr, di = _eval_point(df.coeffs, yr, yi, q)  # f'(y) = (dr + i di) / qm
+    d2 = dr * dr + di * di
     if d2 == 0:
         return None
-    inv_re, inv_im = d_re / d2, -d_im / d2
-    # Y to about 16 bits more than -log2(width) significant bits, so that
-    # |1 - Y f'(y)| stays well below the width and shrinking is quadratic
-    bits = max(_log2_inv(_width(x)), 0) + 2 * _GUARD_BITS
-    scale = _scale(bits + _log2_inv(max(abs(inv_re), abs(inv_im))))
-    inv_re, inv_im = round(inv_re * scale) / scale, round(inv_im * scale) / scale
-    f_re, f_im = _eval_point(f.coeffs, y_re, y_im)
-    k_re = y_re - (inv_re * f_re - inv_im * f_im)
-    k_im = y_im - (inv_re * f_im + inv_im * f_re)
-    yd = _rect_mul((inv_re, inv_re, inv_im, inv_im), _eval_rect(df.coeffs, x))
-    contraction = (1 - yd[1], 1 - yd[0], -yd[3], -yd[2])
-    p = _rect_mul(contraction, (x[0] - y_re, x[1] - y_re, x[2] - y_im, x[3] - y_im))
-    return (k_re + p[0], k_re + p[1], k_im + p[2], k_im + p[3])
+    # 1/f'(y) = qm (dr - i di) / d2.  Y = (vr + i vi) / 2^u to about 16 bits
+    # more than -log2(width) significant bits, so that |1 - Y f'(y)| stays
+    # well below the width and shrinking is quadratic
+    bits = max(_log2_inv(_width(x), q), 0) + 2 * _GUARD_BITS
+    t = bits + _log2_inv(qm * max(abs(dr), abs(di)), d2)
+    u, v = max(t, 0), max(-t, 0)
+    vr = _round(qm * dr << u, d2 << v) << v
+    vi = _round(-qm * di << u, d2 << v) << v
+    fr, fi = _eval_point(f.coeffs, yr, yi, q)  # f(y) = (fr + i fi) / (q qm)
+    # K = y - Y f(y) + (1 - Y f'(X))(X - y), over 2^u q qm
+    k_re = (yr << u) * qm - (vr * fr - vi * fi)
+    k_im = (yi << u) * qm - (vr * fi + vi * fr)
+    yd = _rect_mul((vr, vr, vi, vi), _eval_rect(df.coeffs, x))
+    one = qm << u
+    contraction = (one - yd[1], one - yd[0], -yd[3], -yd[2])
+    p = _rect_mul(contraction, (x[0] - yr, x[1] - yr, x[2] - yi, x[3] - yi))
+    return (k_re + p[0], k_re + p[1], k_im + p[2], k_im + p[3], one * q)
 
 
-def _box(x) -> ComplexBox:
-    return ComplexBox(RationalInterval(x[0], x[1]), RationalInterval(x[2], x[3]))
+def _isolates(f: IntPolynomial, df: IntPolynomial, x) -> bool:
+    """isolates_one_root on the rectangle x of a nonconstant f, df = f'."""
+    k = _krawczyk(f, df, x) if not x[2] == x[3] != 0 else None
+    if k is None:
+        return False
+    a0, a1, b0, b1 = (v * k[4] for v in x[:4])
+    k0, k1, k2, k3 = (v * x[4] for v in k[:4])
+    if not a0 < k0 <= k1 < a1:
+        return False
+    if b0 == b1:
+        return k2 == k3 == 0
+    return b0 < k2 <= k3 < b1
 
 
 def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
@@ -168,15 +208,12 @@ def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     product, so K(X) encloses Rump's Krawczyk set of f as a map R^2 -> R^2.
     A real box [a, b] x [0, 0] takes the one-dimensional test, K real and
     inside (a, b); any other degenerate box, or a constant f, fails."""
-    x = (box.real.lo, box.real.hi, box.imag.lo, box.imag.hi)
-    if f.is_constant() or x[2] == x[3] != 0:
-        return False
-    k = _krawczyk(f, f.derivative(), x)
-    if k is None or not x[0] < k[0] <= k[1] < x[1]:
-        return False
-    if x[2] == x[3]:
-        return k[2] == k[3] == 0
-    return x[2] < k[2] <= k[3] < x[3]
+    x = _rect(box.real.lo, box.real.hi, box.imag.lo, box.imag.hi)
+    return not f.is_constant() and _isolates(f, f.derivative(), x)
+
+
+def _scale(s: int) -> Fraction:
+    return Fraction(2) ** s
 
 
 def _to_grid(v, g: int) -> Fraction:
@@ -215,14 +252,16 @@ def _candidates(f: IntPolynomial, prec: int):
 
 def _certified_rects(f: IntPolynomial):
     """n pairwise-disjoint rectangles, each passing isolates_one_root."""
+    df = f.derivative()
     prec = 53
     while prec <= MAX_PRECISION_BITS:
         rects = _candidates(f, prec)
         if rects is not None:
+            rects = [_rect(*x) for x in rects]
             boxes = [_box(x) for x in rects]
             if all(
                 not a.overlaps(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
-            ) and all(isolates_one_root(f, b) for b in boxes):
+            ) and all(_isolates(f, df, x) for x in rects):
                 return rects
         prec *= 2
     raise MaxPrecisionExceeded(
@@ -233,7 +272,7 @@ def _certified_rects(f: IntPolynomial):
 def _shrink(f: IntPolynomial, df: IntPolynomial, x, eps: Fraction) -> ComplexBox:
     """x <- K(x) ∩ x, rounded outward to dyadics, until width(x) <= eps."""
     steps = 0
-    while _width(x) > eps:
+    while _width(x) * eps.denominator > eps.numerator * x[4]:
         k = _krawczyk(f, df, x) if steps < MAX_SHRINK_STEPS else None
         if k is None:
             raise MaxPrecisionExceeded(
@@ -241,15 +280,26 @@ def _shrink(f: IntPolynomial, df: IntPolynomial, x, eps: Fraction) -> ComplexBox
                 f"in {MAX_SHRINK_STEPS} steps"
             )
         wk = _width(k)
-        if wk > 0:
-            s = _scale(_log2_inv(wk) + _GUARD_BITS)
+        if wk > 0:  # outward to multiples of 2^-g, as numerators over 2^u
+            g = _log2_inv(wk, k[4]) + _GUARD_BITS
+            u, v = max(g, 0), max(-g, 0)
+            den = k[4] << v
             k = (
-                math.floor(k[0] * s) / s,
-                math.ceil(k[1] * s) / s,
-                math.floor(k[2] * s) / s,
-                math.ceil(k[3] * s) / s,
+                (k[0] << u) // den << v,
+                -((-k[1] << u) // den) << v,
+                (k[2] << u) // den << v,
+                -((-k[3] << u) // den) << v,
+                1 << u,
             )
-        x = (max(x[0], k[0]), min(x[1], k[1]), max(x[2], k[2]), min(x[3], k[3]))
+        d = math.lcm(x[4], k[4])
+        a, b = d // x[4], d // k[4]
+        x = (
+            max(x[0] * a, k[0] * b),
+            min(x[1] * a, k[1] * b),
+            max(x[2] * a, k[2] * b),
+            min(x[3] * a, k[3] * b),
+            d,
+        )
         steps += 1
     return _box(x)
 

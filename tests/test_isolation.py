@@ -332,3 +332,96 @@ def test_strict_krawczyk_sound_on_random_boxes(isolated):
             else:
                 failed += 1
     assert passed > 20 and failed > 20
+
+
+# --- the integer kernel against the Fraction Krawczyk operator it replaced ------
+
+
+def _oracle_rect_mul(x, y):
+    def imul(a, b, c, d):
+        p = (a * c, a * d, b * c, b * d)
+        return min(p), max(p)
+
+    rr, ii = imul(x[0], x[1], y[0], y[1]), imul(x[2], x[3], y[2], y[3])
+    ri, ir = imul(x[0], x[1], y[2], y[3]), imul(x[2], x[3], y[0], y[1])
+    return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
+
+
+def _oracle_eval_point(coeffs, yr, yi):
+    ar = ai = Fraction(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * yr - ai * yi + c, ar * yi + ai * yr
+    return ar, ai
+
+
+def _oracle_eval_rect(coeffs, x):
+    c = coeffs[-1]
+    acc = (c, c, 0, 0)
+    for c in reversed(coeffs[:-1]):
+        lo, hi, ilo, ihi = _oracle_rect_mul(acc, x)
+        acc = (lo + c, hi + c, ilo, ihi)
+    return acc
+
+
+def _oracle_log2_inv(w):
+    return w.denominator.bit_length() - w.numerator.bit_length()
+
+
+def oracle_krawczyk(f, df, x):
+    """K(X) in Fraction rectangle arithmetic, as isolation computed it
+    before its integer kernel: the reference the kernel must equal."""
+    y_re, y_im = (x[0] + x[1]) / 2, (x[2] + x[3]) / 2
+    d_re, d_im = _oracle_eval_point(df.coeffs, y_re, y_im)
+    d2 = d_re * d_re + d_im * d_im
+    if d2 == 0:
+        return None
+    inv_re, inv_im = d_re / d2, -d_im / d2
+    width = max(x[1] - x[0], x[3] - x[2])
+    bits = max(_oracle_log2_inv(width), 0) + 2 * isolation._GUARD_BITS
+    scale = Fraction(2) ** (bits + _oracle_log2_inv(max(abs(inv_re), abs(inv_im))))
+    inv_re, inv_im = round(inv_re * scale) / scale, round(inv_im * scale) / scale
+    f_re, f_im = _oracle_eval_point(f.coeffs, y_re, y_im)
+    k_re = y_re - (inv_re * f_re - inv_im * f_im)
+    k_im = y_im - (inv_re * f_im + inv_im * f_re)
+    yd = _oracle_rect_mul((inv_re, inv_re, inv_im, inv_im), _oracle_eval_rect(df.coeffs, x))
+    contraction = (1 - yd[1], 1 - yd[0], -yd[3], -yd[2])
+    p = _oracle_rect_mul(contraction, (x[0] - y_re, x[1] - y_re, x[2] - y_im, x[3] - y_im))
+    return (k_re + p[0], k_re + p[1], k_im + p[2], k_im + p[3])
+
+
+def seeded_rectangles(count, seed=20261019):
+    """(f, rectangle) pairs: degree 1-12, endpoints over dyadic denominators
+    or over 3, 100 and 2^k * 5, mixed within one rectangle."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        deg = rng.randint(1, 12)
+        f = IntPolynomial(
+            tuple(rng.randint(-30, 30) for _ in range(deg))
+            + (rng.choice([c for c in range(-9, 10) if c]),)
+        )
+
+        def den():
+            return rng.choice([2 ** rng.randint(0, 60), 3, 100, 5 * 2 ** rng.randint(0, 40)])
+
+        def interval():
+            q = den()
+            lo = Fraction(rng.randint(-3 * q, 3 * q), q)
+            return lo, lo + Fraction(rng.randint(1, q), den())
+
+        re = interval()
+        im = (Fraction(0), Fraction(0)) if rng.random() < 0.3 else interval()
+        yield f, re + im
+
+
+def test_integer_kernel_equals_fraction_krawczyk():
+    seen = 0
+    for f, x in seeded_rectangles(2000):
+        df = f.derivative()
+        k = isolation._krawczyk(f, df, isolation._rect(*x))
+        expect = oracle_krawczyk(f, df, x)
+        if expect is None:
+            assert k is None, (f, x)
+            continue
+        assert tuple(Fraction(v, k[4]) for v in k[:4]) == expect, (f, x)
+        seen += 1
+    assert seen > 1900
