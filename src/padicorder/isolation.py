@@ -3,31 +3,31 @@
 Approximate, then certify (Krawczyk 1969; Rump, "Verification methods",
 Acta Numerica 2010):
 
-- Approximate: mpmath's Durand-Kerner solver proposes all n roots at a
-  working precision that starts at 53 bits and doubles, up to
-  MAX_PRECISION_BITS, whenever it fails to converge or a check below
-  fails.
+- Approximate: at 53 bits an Aberth-Ehrlich iteration in Python complex
+  doubles proposes all n roots; mpmath.polyroots takes over when it
+  overflows or does not settle, and at every doubling of the working
+  precision, up to MAX_PRECISION_BITS, after a check below fails.
 - Candidate boxes: a dyadic box of radius max(4n|f/f'|, 2^(-prec/2))
   goes around each approximation; it is a real box, with imaginary part
-  [0, 0], when the approximation lies within that radius of the real
-  axis.
+  [0, 0], when the approximation lies within that radius of the real axis.
 - Certify: the set is accepted only when the n boxes are pairwise
   disjoint and every box X passes isolates_one_root, the strict test
   K(X) ⊂ int X that verify_witness_certificate applies, with
-  K(X) = y - Y f(y) + (1 - Y f'(X))(X - y) in exact rational rectangle
-  arithmetic.  It puts exactly one root in X, so n disjoint boxes of a
-  polynomial of degree n together hold every root.
+  K(X) = y - Y f(y) + (1 - Y f'(X))(X - y) in exact rectangle arithmetic
+  on integers over one common denominator.  It puts exactly one root in
+  X, so n disjoint boxes of a polynomial of degree n hold every root.
 - Shrink: each box is brought to width at most eps by X <- K(X) ∩ X,
   rounded outward to dyadics.  The root is a fixed point of the Krawczyk
   map, so it stays inside; the sequence of boxes does not depend on eps,
   so the boxes for eps/2 nest in the boxes for eps.
 
 Floats and multiprecision numbers only propose candidates; every
-decision is an exact rational comparison.
+decision is an exact comparison.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,9 +87,7 @@ class ComplexBox:
 
 
 # A rectangle is a tuple (re_lo, re_hi, im_lo, im_hi, d) of integers: the
-# first four over the common denominator d > 0, the lcm of the endpoints'
-# own denominators.  The kernel below is exact integer arithmetic; a result
-# over another denominator returns it in the same place.
+# endpoints over a common denominator d > 0, the lcm of their denominators.
 
 
 def _rect(*ends) -> tuple:
@@ -98,11 +96,14 @@ def _rect(*ends) -> tuple:
     return tuple(v.numerator * (d // v.denominator) for v in ends) + (d,)
 
 
+_ON_AXIS = RationalInterval(Fraction(0), Fraction(0))  # shared by real boxes
+
+
 def _box(x) -> ComplexBox:
     d = x[4]
     return ComplexBox(
         RationalInterval(Fraction(x[0], d), Fraction(x[1], d)),
-        RationalInterval(Fraction(x[2], d), Fraction(x[3], d)),
+        _ON_AXIS if x[2] == x[3] == 0 else RationalInterval(Fraction(x[2], d), Fraction(x[3], d)),
     )
 
 
@@ -113,8 +114,7 @@ def _imul(a, b, c, d):
 
 
 def _rect_mul(x, y):
-    """Numerators enclosing {u * v : u in x, v in y}, over the product of
-    the denominators of x and y."""
+    """{u * v : u in x, v in y}, enclosed over the product of the denominators."""
     rr = _imul(x[0], x[1], y[0], y[1])
     ii = _imul(x[2], x[3], y[2], y[3])
     ri = _imul(x[0], x[1], y[2], y[3])
@@ -122,17 +122,9 @@ def _rect_mul(x, y):
     return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
 
 
-def _eval_point(coeffs, yr, yi, q):
-    """q^n f((yr + i yi) / q), for f of degree n, exactly."""
-    ar, ai, qk = coeffs[-1], 0, 1
-    for c in reversed(coeffs[:-1]):
-        qk *= q
-        ar, ai = ar * yr - ai * yi + c * qk, ar * yi + ai * yr
-    return ar, ai
-
-
 def _eval_rect(coeffs, x):
-    """Numerators over d^n of a rectangle enclosing f(x), by Horner's rule."""
+    """Numerators over d^n of a rectangle enclosing f(x), by Horner's rule;
+    on a point rectangle, the exact value."""
     c, dk = coeffs[-1], 1
     acc = (c, c, 0, 0)
     for c in reversed(coeffs[:-1]):
@@ -165,7 +157,7 @@ def _krawczyk(f: IntPolynomial, df: IntPolynomial, x):
     x = (2 * x[0], 2 * x[1], 2 * x[2], 2 * x[3], q)
     yr, yi = (x[0] + x[1]) // 2, (x[2] + x[3]) // 2
     qm = q**df.degree
-    dr, di = _eval_point(df.coeffs, yr, yi, q)  # f'(y) = (dr + i di) / qm
+    dr, _, di, _ = _eval_rect(df.coeffs, (yr, yr, yi, yi, q))  # f'(y) = (dr + i di) / qm
     d2 = dr * dr + di * di
     if d2 == 0:
         return None
@@ -177,7 +169,7 @@ def _krawczyk(f: IntPolynomial, df: IntPolynomial, x):
     u, v = max(t, 0), max(-t, 0)
     vr = _round(qm * dr << u, d2 << v) << v
     vi = _round(-qm * di << u, d2 << v) << v
-    fr, fi = _eval_point(f.coeffs, yr, yi, q)  # f(y) = (fr + i fi) / (q qm)
+    fr, _, fi, _ = _eval_rect(f.coeffs, (yr, yr, yi, yi, q))  # f(y) = (fr + i fi) / (q qm)
     # K = y - Y f(y) + (1 - Y f'(X))(X - y), over 2^u q qm
     k_re = (yr << u) * qm - (vr * fr - vi * fi)
     k_im = (yi << u) * qm - (vr * fi + vi * fr)
@@ -188,20 +180,6 @@ def _krawczyk(f: IntPolynomial, df: IntPolynomial, x):
     return (k_re + p[0], k_re + p[1], k_im + p[2], k_im + p[3], one * q)
 
 
-def _isolates(f: IntPolynomial, df: IntPolynomial, x) -> bool:
-    """isolates_one_root on the rectangle x of a nonconstant f, df = f'."""
-    k = _krawczyk(f, df, x) if not x[2] == x[3] != 0 else None
-    if k is None:
-        return False
-    a0, a1, b0, b1 = (v * k[4] for v in x[:4])
-    k0, k1, k2, k3 = (v * x[4] for v in k[:4])
-    if not a0 < k0 <= k1 < a1:
-        return False
-    if b0 == b1:
-        return k2 == k3 == 0
-    return b0 < k2 <= k3 < b1
-
-
 def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     """Krawczyk's strict test K(X) ⊂ int X, which proves that the closed
     box holds exactly one root of f: _rect_mul is an interval 2x2 matrix
@@ -209,28 +187,68 @@ def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     A real box [a, b] x [0, 0] takes the one-dimensional test, K real and
     inside (a, b); any other degenerate box, or a constant f, fails."""
     x = _rect(box.real.lo, box.real.hi, box.imag.lo, box.imag.hi)
-    return not f.is_constant() and _isolates(f, f.derivative(), x)
+    if f.is_constant() or x[2] == x[3] != 0:
+        return False
+    k = _krawczyk(f, f.derivative(), x)
+    if k is None:
+        return False
+    x, k = [v * k[4] for v in x[:4]], [v * x[4] for v in k[:4]]  # over one denominator
+    if not x[0] < k[0] <= k[1] < x[1]:
+        return False
+    if x[2] == x[3]:
+        return k[2] == k[3] == 0
+    return x[2] < k[2] <= k[3] < x[3]
 
 
-def _scale(s: int) -> Fraction:
-    return Fraction(2) ** s
+def _aberth(coeffs, steps: int = 100) -> list[complex]:
+    """The n roots of f by the Aberth-Ehrlich iteration in complex doubles
+    (Bini, Numer. Algorithms 13, 1996); ArithmeticError when a value
+    overflows or the roots do not settle."""
+    n, a = len(coeffs) - 1, [c / coeffs[-1] for c in coeffs]
+    r = max(abs(c) ** (1 / (n - k)) for k, c in enumerate(a[:-1]))
+    zs = [r * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(steps):
+        settled = True
+        for i, z in enumerate(zs):
+            p = dp = 0j
+            for c in reversed(a):
+                p, dp = p * z + c, dp * z + p
+            newton = p / dp
+            w = newton / (1 - newton * sum(1 / (z - y) for j, y in enumerate(zs) if j != i))
+            zs[i] = z - w
+            settled = settled and abs(w) <= 2**-50 * abs(z)
+        if settled:
+            return zs
+    raise ArithmeticError("the Aberth iteration did not settle")
 
 
 def _to_grid(v, g: int) -> Fraction:
     """The multiple of 2**g nearest to the mpf v."""
-    return int(mpmath.nint(mpmath.ldexp(v, -g))) * _scale(g)
+    return int(mpmath.nint(mpmath.ldexp(v, -g))) * Fraction(2) ** g
 
 
 def _candidates(f: IntPolynomial, prec: int):
-    """Dyadic boxes around mpmath's root approximations at prec bits, or
-    None when the approximation step fails."""
+    """Dyadic boxes around approximations of the roots of f at prec bits,
+    or None when the approximation step fails.  At 53 bits _aberth
+    proposes in complex doubles; mpmath.polyroots serves when that fails
+    and above 53 bits."""
     n = f.degree
     coeffs = f.coeffs[::-1]
+    try:
+        roots = _aberth(f.coeffs) if prec == 53 else None
+    except ArithmeticError:  # an overflow, or the roots did not settle
+        roots = None
     with mpmath.workprec(prec):
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=50 + 10 * n)
-        except mpmath.NoConvergence:
-            return None
+        if roots is None or not all(map(cmath.isfinite, roots)):
+            # polyroots starts near the unit circle, where the roots of f(2^s y) lie
+            b = [abs(c).bit_length() for c in f.coeffs]
+            s = max([(b[k] - b[n]) // (n - k) for k in range(n) if b[k]] or [0])
+            scaled = [mpmath.ldexp(c, s * (n - i)) for i, c in enumerate(coeffs)]
+            try:
+                ys = mpmath.polyroots(scaled, maxsteps=50 + 10 * n)
+            except mpmath.mp.NoConvergence:
+                return None
+            roots = [mpmath.mpc(y) * mpmath.ldexp(1, s) for y in ys]
         rects = []
         for z in roots:
             z = mpmath.mpc(z)
@@ -239,7 +257,7 @@ def _candidates(f: IntPolynomial, prec: int):
                 return None
             r = max(4 * n * abs(v / dv), mpmath.ldexp(1, -(prec // 2)))
             e = mpmath.frexp(r)[1]  # r <= 2**e
-            radius = _scale(e)
+            radius = Fraction(2) ** e
             re = _to_grid(z.real, e - 2 * _GUARD_BITS)
             if abs(z.imag) <= mpmath.ldexp(1, e):
                 im = (Fraction(0), Fraction(0))
@@ -252,16 +270,14 @@ def _candidates(f: IntPolynomial, prec: int):
 
 def _certified_rects(f: IntPolynomial):
     """n pairwise-disjoint rectangles, each passing isolates_one_root."""
-    df = f.derivative()
     prec = 53
     while prec <= MAX_PRECISION_BITS:
         rects = _candidates(f, prec)
         if rects is not None:
-            rects = [_rect(*x) for x in rects]
-            boxes = [_box(x) for x in rects]
+            boxes = [_box(_rect(*x)) for x in rects]
             if all(
                 not a.overlaps(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
-            ) and all(_isolates(f, df, x) for x in rects):
+            ) and all(isolates_one_root(f, b) for b in boxes):
                 return rects
         prec *= 2
     raise MaxPrecisionExceeded(
@@ -271,7 +287,7 @@ def _certified_rects(f: IntPolynomial):
 
 def _shrink(f: IntPolynomial, df: IntPolynomial, x, eps: Fraction) -> ComplexBox:
     """x <- K(x) ∩ x, rounded outward to dyadics, until width(x) <= eps."""
-    steps = 0
+    x, steps = _rect(*x), 0
     while _width(x) * eps.denominator > eps.numerator * x[4]:
         k = _krawczyk(f, df, x) if steps < MAX_SHRINK_STEPS else None
         if k is None:
@@ -279,27 +295,16 @@ def _shrink(f: IntPolynomial, df: IntPolynomial, x, eps: Fraction) -> ComplexBox
                 f"a root box of {f} did not shrink to width {eps} "
                 f"in {MAX_SHRINK_STEPS} steps"
             )
-        wk = _width(k)
-        if wk > 0:  # outward to multiples of 2^-g, as numerators over 2^u
-            g = _log2_inv(wk, k[4]) + _GUARD_BITS
+        if _width(k) > 0:  # lo down and hi up to multiples of 2^-g, over 2^u
+            g = _log2_inv(_width(k), k[4]) + _GUARD_BITS
             u, v = max(g, 0), max(-g, 0)
-            den = k[4] << v
-            k = (
-                (k[0] << u) // den << v,
-                -((-k[1] << u) // den) << v,
-                (k[2] << u) // den << v,
-                -((-k[3] << u) // den) << v,
-                1 << u,
-            )
+            k = tuple(
+                s * ((s * c << u) // (k[4] << v)) << v for s, c in zip((1, -1, 1, -1), k)
+            ) + (1 << u,)
         d = math.lcm(x[4], k[4])
-        a, b = d // x[4], d // k[4]
-        x = (
-            max(x[0] * a, k[0] * b),
-            min(x[1] * a, k[1] * b),
-            max(x[2] * a, k[2] * b),
-            min(x[3] * a, k[3] * b),
-            d,
-        )
+        x = tuple(
+            m(a * (d // x[4]), b * (d // k[4])) for m, a, b in zip((max, min, max, min), x, k)
+        ) + (d,)
         steps += 1
     return _box(x)
 

@@ -1,8 +1,10 @@
 """Certified complex root isolation: disjointness, width, nesting."""
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
@@ -178,6 +180,50 @@ def test_certification_rejects_bad_candidates(monkeypatch, coeffs, tamper):
     )
     with pytest.raises(MaxPrecisionExceeded):
         isolate_roots(IntPolynomial(coeffs), EPS)
+
+
+def test_double_overflow_isolates_through_mpmath():
+    # 10^400 overflows a double: the Aberth proposer gives up, mpmath proposes
+    f = IntPolynomial((-(10**400), 0, 1))
+    with pytest.raises(ArithmeticError):
+        isolation._aberth(f.coeffs)
+    boxes = isolate_roots(f, EPS)
+    assert len(boxes) == 2 and all(isolation.isolates_one_root(f, b) for b in boxes)
+    assert sorted(b.real.lo < 10**200 < b.real.hi for b in boxes) == [False, True]
+
+
+HONEST_ABERTH = isolation._aberth
+
+
+def _nan_roots(coeffs):
+    return [complex("nan+nanj")] * (len(coeffs) - 1)
+
+
+def _shifted_roots(coeffs):
+    return [z + 1 / 3 for z in HONEST_ABERTH(coeffs)]
+
+
+@pytest.mark.parametrize("proposer", [_nan_roots, _shifted_roots])
+@pytest.mark.parametrize("f", [LEHMER, close_pair(10, 50), cyclotomic(15)], ids=str)
+def test_bad_double_proposals_never_pass(monkeypatch, proposer, f):
+    """Whatever the double proposer returns, every box isolate_roots hands
+    back passes the strict Krawczyk test, or it raises."""
+    monkeypatch.setattr(isolation, "_aberth", proposer)
+    try:
+        boxes = isolate_roots(f, EPS)
+    except MaxPrecisionExceeded:
+        return
+    assert len(boxes) == f.degree and all(isolation.isolates_one_root(f, b) for b in boxes)
+
+
+def test_polyroots_failure_is_a_failed_attempt(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.mp.NoConvergence("did not converge")
+
+    monkeypatch.setattr(isolation, "_aberth", _nan_roots)
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    with pytest.raises(MaxPrecisionExceeded):
+        isolate_roots(LEHMER, EPS)
 
 
 @pytest.mark.parametrize("deg, a", [(10, 50), (12, 100)])
@@ -425,3 +471,28 @@ def test_integer_kernel_equals_fraction_krawczyk():
         assert tuple(Fraction(v, k[4]) for v in k[:4]) == expect, (f, x)
         seen += 1
     assert seen > 1900
+
+
+def oracle_shrink(f, x, eps):
+    """isolation._shrink in Fraction arithmetic, as before the integer kernel."""
+    df = f.derivative()
+    while max(x[1] - x[0], x[3] - x[2]) > eps:
+        k = oracle_krawczyk(f, df, x)
+        wk = max(k[1] - k[0], k[3] - k[2])
+        if wk > 0:
+            s = Fraction(2) ** (_oracle_log2_inv(wk) + isolation._GUARD_BITS)
+            k = (
+                math.floor(k[0] * s) / s,
+                math.ceil(k[1] * s) / s,
+                math.floor(k[2] * s) / s,
+                math.ceil(k[3] * s) / s,
+            )
+        x = (max(x[0], k[0]), min(x[1], k[1]), max(x[2], k[2]), min(x[3], k[3]))
+    return ComplexBox(RationalInterval(x[0], x[1]), RationalInterval(x[2], x[3]))
+
+
+def test_integer_shrink_equals_fraction_shrink():
+    for f in ORACLE_POLYS[:30] + [LEHMER, close_pair(10, 50)]:
+        for x in isolation._certified_rects(f):
+            for eps in (Fraction(1, 64), Fraction(1, 2**40)):
+                assert isolation._shrink(f, f.derivative(), x, eps) == oracle_shrink(f, x, eps), f
