@@ -228,12 +228,20 @@ def _same_json(recomputed: dict, claimed: dict) -> bool:
 
 
 def _verify_order_doc(doc: dict) -> bool:
-    inp = doc["input"]
-    if not _same_json(_verdict_doc(_order_verdict(inp), inp), doc):
+    """The recomputed verdict equals the claimed one apart from the nested
+    witness, which may name another place: it must share the recomputed
+    polynomial and conditionality, and its place must verify on its own."""
+    inp, claimed = doc["input"], dict(doc)
+    recomputed = _verdict_doc(_order_verdict(inp), inp)
+    if ("certificate" in recomputed) != ("certificate" in claimed):
         return False
-    if "certificate" in doc:
-        return verify_witness_certificate(witness_cert_from_doc(doc["certificate"]))
-    return True
+    cert, claimed_cert = recomputed.pop("certificate", None), claimed.pop("certificate", None)
+    if not _same_json(recomputed, claimed):
+        return False
+    return cert is None or (
+        all(_same_json(cert[k], claimed_cert[k]) for k in ("case", "alpha_poly", "conditionality"))
+        and verify_witness_certificate(witness_cert_from_doc(claimed_cert))
+    )
 
 
 def _verify_witness_doc(doc: dict) -> bool:

@@ -25,7 +25,7 @@ class ZeroRoot(PadicOrderError):
 
 
 class MaxPrecisionExceeded(PadicOrderError):
-    """The precision-doubling loop hit its configured cap."""
+    """A computation hit a precision or size cap of this library."""
 
 
 class NonIntegralDensity(PadicOrderError):

@@ -21,7 +21,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from .errors import DepthZero, NonIntegralDensity
+from .errors import DepthZero, MaxPrecisionExceeded, NonIntegralDensity
 from .intervals import RationalInterval, p_power_enclosure
 from .padic import padic_valuation, rational_valuation, INF, _check_prime
 
@@ -204,8 +204,8 @@ class PolyMap:
 
 # integrate lists the p^n children of a cylinder up front and refuses more than this
 _MAX_CHILDREN = 2**16
-# ... and refuses inputs whose exact numbers would exceed _MAX_BITS bits, or
-# whose walk would subdivide into more than _MAX_CYLINDERS cylinders
+# ... and raises MaxPrecisionExceeded for inputs whose exact numbers would
+# exceed _MAX_BITS bits, or whose walk would pass _MAX_CYLINDERS cylinders
 _MAX_BITS = 2**13
 _MAX_CYLINDERS = 2**20
 
@@ -246,7 +246,7 @@ def integrate(
     # the tallies are over p^(nD), and each m-th root enclosure takes bits * m
     need = n * max_depth * p.bit_length() + bits * m
     if need > _MAX_BITS:
-        raise ValueError(f"integral needs numbers of {need} bits, above {_MAX_BITS}")
+        raise MaxPrecisionExceeded(f"integral needs numbers of {need} bits, above {_MAX_BITS}")
     t = max(0, -d.f.min_p_valuation(p))
     f = d.f.scale(Fraction(p) ** t)
     q = p**max_depth
@@ -272,7 +272,9 @@ def integrate(
             if k < max_depth:
                 cylinders += len(residues)
                 if cylinders > _MAX_CYLINDERS:
-                    raise ValueError(f"integral subdivides past {_MAX_CYLINDERS} cylinders")
+                    raise MaxPrecisionExceeded(
+                        f"integral subdivides past {_MAX_CYLINDERS} cylinders"
+                    )
                 if k not in offsets:
                     offsets[k] = [tuple(p**k * r for r in rs) for rs in residues]
                 stack.extend((tuple(map(add, a, off)), k + 1) for off in offsets[k])

@@ -83,8 +83,8 @@ class IntPolynomial:
     def primitive_part(self) -> "IntPolynomial":
         """Content 1, positive leading coefficient, same roots."""
         g = self.content()
-        if g == 0:
-            raise ValueError("zero polynomial")
+        if g == 1 and self.leading > 0:
+            return self  # frozen, so callers may share it
         sign = 1 if self.leading > 0 else -1
         return IntPolynomial(tuple(c * sign // g for c in self.coeffs))
 

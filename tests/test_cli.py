@@ -1,6 +1,10 @@
 """CLI: exit-code contract, JSON documents, verify round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,20 @@ def test_integrate_three_variables_verifies(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     vcode, out, _ = run(capsys, "verify", str(path))
     assert vcode == 0 and "VALID" in out
+
+
+def test_witness_and_order_import_no_numpy():
+    # root isolation proposes in Python complex doubles; numpy would add
+    # about 11 MB to every process that answers these commands
+    script = (
+        "import sys\n"
+        "from padicorder.cli import main\n"
+        "assert main(['witness', 'x^2 - x - 1']) == 2\n"
+        "assert main(['order', '--matrix=2,1;1,1']) == 2\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -10,6 +10,7 @@ import pytest
 from padicorder import (
     Cylinder,
     DepthZero,
+    MaxPrecisionExceeded,
     MultiPoly,
     NonUnitJacobian,
     PolyDensity,
@@ -22,6 +23,7 @@ from padicorder import (
     rational_valuation,
     scaling_law_check,
 )
+from padicorder import haar
 
 X = MultiPoly.univariate([Fraction(0), Fraction(1)])
 
@@ -343,6 +345,14 @@ def test_integrate_refuses_too_many_children_per_cylinder(deadline):
     # tens of MB; they are refused before any of them is built
     with deadline(1), pytest.raises(ValueError, match="children"):
         integrate(PolyDensity(MultiPoly.variable(17, 0), 1), Cylinder.unit_polydisc(2, 17), 2)
+
+
+def test_integrate_caps_raise_max_precision_exceeded(monkeypatch):
+    with pytest.raises(MaxPrecisionExceeded, match="bits"):
+        integrate(PolyDensity(X, 1), Cylinder.unit_polydisc(2, 1), 8000)
+    monkeypatch.setattr(haar, "_MAX_CYLINDERS", 64)
+    with pytest.raises(MaxPrecisionExceeded, match="cylinders"):
+        integrate(PolyDensity(X, 1), Cylinder.unit_polydisc(2, 1), 100)
 
 
 # --- the substitution identity's right side, checked pointwise ---------------

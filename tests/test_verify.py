@@ -15,7 +15,7 @@ from padicorder.cli import main
 from padicorder.errors import ParseError
 from padicorder.intpoly import IntPolynomial, check_irreducible, is_squarefree
 from padicorder.parsing import parse_multipoly
-from padicorder.places import _conditionality, _frac
+from padicorder.places import _conditionality, _frac, _frac_str
 
 LEHMER = "x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"
 
@@ -343,6 +343,14 @@ def test_integral_blow_up_is_refused(capsys, tmp_path, deadline, argv, depth, m,
     assert code == 2 and "INVALID" in out and cap in out
 
 
+def test_integral_cap_is_a_verifier_limit(capsys, tmp_path):
+    argv, depth, m, _ = INTEGRAL_BLOW_UPS[0]
+    doc = produce(capsys, "integrate", *argv, "--depth", "2")
+    doc["depth"], doc["root_index"] = depth, m
+    code, out = verify(capsys, tmp_path, doc)
+    assert code == 2 and "exceeds this verifier's limits" in out and "malformed" not in out
+
+
 @pytest.mark.parametrize("value", [[], [1, 2], "witness", 3, None])
 def test_non_object_is_unknown_kind(capsys, tmp_path, value):
     code, out = verify(capsys, tmp_path, value)
@@ -445,6 +453,33 @@ def test_golden_order_document(capsys, tmp_path, name):
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(golden), indent=2) + "\n"
     assert verify(capsys, tmp_path, json.loads(out)) == (0, "certificate VALID (order)\n")
+
+
+def _with_nested_box(doc, lo, hi, norm_bound):
+    """An order document whose nested archimedean witness claims the real
+    box [lo, hi] x [0, 0], with its |z|^2 bounds and the given norm bound."""
+    doc = copy.deepcopy(doc)
+    cert = doc["certificate"]
+    cert["place"]["box"] = {"re": [_frac_str(lo), _frac_str(hi)], "im": ["0/1", "0/1"]}
+    cert["modulus_squared"] = [_frac_str(lo * lo), _frac_str(hi * hi)]
+    cert["norm_bound"] = {"num": str(norm_bound), "den": "1"}
+    return doc
+
+
+def test_order_doc_with_another_valid_nested_box_is_valid(capsys, tmp_path):
+    # x^2 - 7x + 1 has one root in [6.85, 6.86], which passes the strict
+    # Krawczyk test: another build may certify this box instead
+    doc = json.loads(GOLDEN_ORDER_DOCS["arch_nested_witness"][2])
+    other = _with_nested_box(doc, Fraction(137, 20), Fraction(343, 50), 6)
+    assert other != doc
+    assert verify(capsys, tmp_path, other) == (0, "certificate VALID (order)\n")
+
+
+def test_order_doc_with_moved_nested_box_is_invalid(capsys, tmp_path):
+    # [7, 8] holds no root of x^2 - 7x + 1, though |z| > 6 on all of it
+    doc = json.loads(GOLDEN_ORDER_DOCS["arch_nested_witness"][2])
+    code, out = verify(capsys, tmp_path, _with_nested_box(doc, Fraction(7), Fraction(8), 6))
+    assert code == 2 and out == "certificate INVALID (order)\n"
 
 
 # --- the verifier's re-isolation fallback -------------------------------------
