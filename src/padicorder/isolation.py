@@ -200,14 +200,14 @@ def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     return x[2] < k[2] <= k[3] < x[3]
 
 
-def _aberth(coeffs, steps: int = 100) -> list[complex]:
+def _aberth(coeffs) -> list[complex]:
     """The n roots of f by the Aberth-Ehrlich iteration in complex doubles
     (Bini, Numer. Algorithms 13, 1996); ArithmeticError when a value
     overflows or the roots do not settle."""
     n, a = len(coeffs) - 1, [c / coeffs[-1] for c in coeffs]
     r = max(abs(c) ** (1 / (n - k)) for k, c in enumerate(a[:-1]))
     zs = [r * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(steps):
+    for _ in range(100):
         settled = True
         for i, z in enumerate(zs):
             p = dp = 0j

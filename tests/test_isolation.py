@@ -439,21 +439,21 @@ def seeded_rectangles(count, seed=20261019):
     """(f, rectangle) pairs: degree 1-12, endpoints over dyadic denominators
     or over 3, 100 and 2^k * 5, mixed within one rectangle."""
     rng = random.Random(seed)
+
+    def den():
+        return rng.choice([2 ** rng.randint(0, 60), 3, 100, 5 * 2 ** rng.randint(0, 40)])
+
+    def interval():
+        q = den()
+        lo = Fraction(rng.randint(-3 * q, 3 * q), q)
+        return lo, lo + Fraction(rng.randint(1, q), den())
+
     for _ in range(count):
         deg = rng.randint(1, 12)
         f = IntPolynomial(
             tuple(rng.randint(-30, 30) for _ in range(deg))
             + (rng.choice([c for c in range(-9, 10) if c]),)
         )
-
-        def den():
-            return rng.choice([2 ** rng.randint(0, 60), 3, 100, 5 * 2 ** rng.randint(0, 40)])
-
-        def interval():
-            q = den()
-            lo = Fraction(rng.randint(-3 * q, 3 * q), q)
-            return lo, lo + Fraction(rng.randint(1, q), den())
-
         re = interval()
         im = (Fraction(0), Fraction(0)) if rng.random() < 0.3 else interval()
         yield f, re + im
