@@ -245,7 +245,7 @@ def _candidates(f: IntPolynomial, prec: int):
             s = max([(b[k] - b[n]) // (n - k) for k in range(n) if b[k]] or [0])
             scaled = [mpmath.ldexp(c, s * (n - i)) for i, c in enumerate(coeffs)]
             try:
-                ys = mpmath.polyroots(scaled, maxsteps=50 + 10 * n)
+                ys = mpmath.polyroots(scaled, maxsteps=50 + 10 * n, extraprec=prec)
             except mpmath.mp.NoConvergence:
                 return None
             roots = [mpmath.mpc(y) * mpmath.ldexp(1, s) for y in ys]

@@ -192,6 +192,19 @@ def test_double_overflow_isolates_through_mpmath():
     assert sorted(b.real.lo < 10**200 < b.real.hi for b in boxes) == [False, True]
 
 
+def test_wilkinson_isolates_through_mpmath():
+    # doubles do not settle on (x - 1)(x - 2)...(x - 12), and mpmath
+    # converges on it only with extra working precision
+    f = IntPolynomial((1,))
+    for k in range(1, 13):
+        f = f * IntPolynomial((-k, 1))
+    with pytest.raises(ArithmeticError):
+        isolation._aberth(f.coeffs)
+    boxes = isolate_roots(f, EPS)
+    assert all(b.real.contains(k) and b.imag.contains(0) for k, b in zip(range(1, 13), boxes))
+    assert len(boxes) == 12
+
+
 HONEST_ABERTH = isolation._aberth
 
 
