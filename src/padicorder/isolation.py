@@ -201,9 +201,9 @@ def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
 
 
 def _aberth(coeffs) -> list[complex]:
-    """The n roots of f by the Aberth-Ehrlich iteration in complex doubles
-    (Bini, Numer. Algorithms 13, 1996); ArithmeticError when a value
-    overflows or the roots do not settle."""
+    """The n roots of c_0 + ... + c_n x^n by the Aberth-Ehrlich iteration
+    in complex doubles (Bini, Numer. Algorithms 13, 1996); ArithmeticError
+    when a value overflows or the roots do not settle."""
     n, a = len(coeffs) - 1, [c / coeffs[-1] for c in coeffs]
     r = max(abs(c) ** (1 / (n - k)) for k, c in enumerate(a[:-1]))
     zs = [r * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
@@ -240,7 +240,8 @@ def _candidates(f: IntPolynomial, prec: int):
         roots = None
     with mpmath.workprec(prec):
         if roots is None or not all(map(cmath.isfinite, roots)):
-            # polyroots starts near the unit circle, where the roots of f(2^s y) lie
+            # polyroots starts near the unit circle, where the roots of f(2^s y)
+            # lie, and meets its own tolerance on close roots only with extra bits
             b = [abs(c).bit_length() for c in f.coeffs]
             s = max([(b[k] - b[n]) // (n - k) for k in range(n) if b[k]] or [0])
             scaled = [mpmath.ldexp(c, s * (n - i)) for i, c in enumerate(coeffs)]
