@@ -202,10 +202,10 @@ class PolyMap:
 # --- integration ------------------------------------------------------------
 
 
-# integrate lists the p^n children of a cylinder up front and refuses more than this
+# integrate raises MaxPrecisionExceeded when a cylinder has more than _MAX_CHILDREN
+# children (it lists them up front), when exact numbers would exceed _MAX_BITS
+# bits, and when the walk would pass _MAX_CYLINDERS cylinders
 _MAX_CHILDREN = 2**16
-# ... and raises MaxPrecisionExceeded for inputs whose exact numbers would
-# exceed _MAX_BITS bits, or whose walk would pass _MAX_CYLINDERS cylinders
 _MAX_BITS = 2**13
 _MAX_CYLINDERS = 2**20
 
@@ -241,7 +241,7 @@ def integrate(
     if d.f.nvars != n:
         raise NonIntegralDensity(f"density has {d.f.nvars} variables, region has {n}")
     if p**n > _MAX_CHILDREN:
-        raise ValueError(f"{p}^{n} children per cylinder exceed {_MAX_CHILDREN}")
+        raise MaxPrecisionExceeded(f"{p}^{n} children per cylinder exceed {_MAX_CHILDREN}")
     bits = _scale_bits(p, max_depth)
     # the tallies are over p^(nD), and each m-th root enclosure takes bits * m
     need = n * max_depth * p.bit_length() + bits * m

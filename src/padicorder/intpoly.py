@@ -2,9 +2,10 @@
 exact irreducibility over Q.
 
 Polynomials are dense tuples of integer coefficients in ascending order,
-``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Gcds, exact division
-and irreducibility use sympy's dense routines over ZZ; irreducibility is
-decided by factoring over Z (Zassenhaus), so it is exact.
+``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Gcds, exact division,
+the squarefree test, cyclotomic polynomials and irreducibility use sympy's
+dense routines over ZZ; irreducibility is decided by factoring over Z
+(Zassenhaus), so it is exact.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ from functools import lru_cache
 from sympy.polys.densearith import dup_mul, dup_rr_div
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.factortools import dup_factor_list
+from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
+from sympy.polys.sqfreetools import dup_sqf_p
 
 from .errors import NotSquarefree
-
-
-def _trim(v: list) -> list:
-    """Drop trailing zero coefficients in place, keeping at least one."""
-    while len(v) > 1 and v[-1] == 0:
-        v.pop()
-    return v
 
 
 def _dense(f: IntPolynomial) -> list:
@@ -47,7 +42,10 @@ class IntPolynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":
-        return cls(tuple(_trim([int(c) for c in coeffs])))
+        v = [int(c) for c in coeffs]
+        while len(v) > 1 and v[-1] == 0:  # drop trailing zeros, keep one
+            v.pop()
+        return cls(tuple(v))
 
     @property
     def degree(self) -> int:
@@ -130,11 +128,10 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 def is_squarefree(f: IntPolynomial) -> bool:
     """True iff gcd(f, f') is constant."""
-    if f.is_constant():
-        return True
-    return poly_gcd(f, f.derivative()).is_constant()
+    return dup_sqf_p(_dense(f), ZZ)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     if d < 1:
         raise ValueError("d must be positive")
@@ -152,14 +149,10 @@ def euler_phi(d: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, by iterated exact division of x^d - 1."""
+    """The d-th cyclotomic polynomial Phi_d."""
     if d < 1:
         raise ValueError("d must be positive")
-    f = IntPolynomial.from_coeffs([-1] + [0] * (d - 1) + [1])
-    for e in range(1, d):
-        if d % e == 0:
-            f = f.exact_div(cyclotomic(e))
-    return f
+    return IntPolynomial.from_coeffs(reversed(dup_zz_cyclotomic_poly(d, ZZ)))
 
 
 def factor_out_cyclotomics(f: IntPolynomial):
@@ -193,8 +186,6 @@ def root_of_unity_order(f: IntPolynomial):
         raise ValueError("f must be nonconstant")
     if not is_squarefree(f):
         raise NotSquarefree(f"{f} has a repeated factor")
-    if f.primitive_part().leading != 1:
-        return None  # cyclotomics are monic
     matched, rem = factor_out_cyclotomics(f)
     return math.lcm(*matched) if rem.coeffs == (1,) else None
 

@@ -25,6 +25,8 @@ from .intervals import RationalInterval, kth_root_enclosure, p_power_enclosure
 from .intpoly import (
     PROVEN,
     IntPolynomial,
+    cyclotomic,
+    euler_phi,
     is_squarefree,
     root_of_unity_order,
 )
@@ -129,14 +131,14 @@ def _rational_sqrt_lower(m2_lo: Fraction) -> Fraction:
 def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     """Non-archimedean witness via Newton polygons at primes dividing the
     leading coefficient; None iff f is monic up to sign (algebraic integer).
+    Raises NotSquarefree for non-monic f with a repeated factor.
     """
-    if not is_squarefree(f):
-        raise NotSquarefree(f"{f} has a repeated factor")
     g = f.primitive_part()
-    lc = g.leading
-    if lc == 1:
+    if g.leading == 1:
         return None
-    for p in sorted(factorint(lc)):
+    if not is_squarefree(g):
+        raise NotSquarefree(f"{f} has a repeated factor")
+    for p in sorted(factorint(g.leading)):
         np = newton_polygon(g, p)
         for idx, (slope, _length) in enumerate(np.segments):
             if slope > 0:
@@ -198,13 +200,19 @@ def find_witness(alpha: AlgebraicNumberSpec):
     Exactly one of: (a) every factor of the defining polynomial is
     cyclotomic -> RootOfUnity; (b) the polynomial is non-monic -> p-adic
     witness; (c) monic and non-cyclotomic -> archimedean witness.
-    root_of_unity_order raises NotSquarefree for a repeated factor.
+    A spec proven irreducible is cyclotomic iff f = Phi_d with phi(d) =
+    deg f (Bradford & Davenport 1988). Any other spec goes through
+    root_of_unity_order, which raises NotSquarefree for a repeated factor.
     """
     f = alpha.defining_poly.primitive_part()
     if f.constant == 0:
         raise ZeroRoot("0 is a root; the trichotomy applies to nonzero numbers")
     cond = _conditionality(f, alpha.irreducibility_status)
-    order = root_of_unity_order(f)
+    if alpha.irreducibility_status == PROVEN:  # phi(d) >= sqrt(d/2) bounds d
+        phis = (d for d in range(1, 2 * f.degree**2 + 1) if euler_phi(d) == f.degree)
+        order = next((d for d in phis if cyclotomic(d) == f), None)
+    else:
+        order = root_of_unity_order(f)
     if order is not None:
         return RootOfUnity(order=order, conditionality=cond)
     cert = padic_witness(f, conditionality=cond)

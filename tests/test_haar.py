@@ -343,7 +343,7 @@ def test_integrate_input_checks():
 def test_integrate_refuses_too_many_children_per_cylinder(deadline):
     # listing the 2^17 children of one cylinder would take seconds and
     # tens of MB; they are refused before any of them is built
-    with deadline(1), pytest.raises(ValueError, match="children"):
+    with deadline(1), pytest.raises(MaxPrecisionExceeded, match="children"):
         integrate(PolyDensity(MultiPoly.variable(17, 0), 1), Cylinder.unit_polydisc(2, 17), 2)
 
 

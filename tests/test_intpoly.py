@@ -240,3 +240,46 @@ def test_exact_div_outside_integer_polynomials():
     assert IntPolynomial((-1, 0, 1)).exact_div(IntPolynomial((-2, 2))) is None
     assert IntPolynomial((-1, 1)).exact_div(IntPolynomial((-1, 0, 1))) is None
     assert IntPolynomial((2, 4)).exact_div(IntPolynomial((2,))) == IntPolynomial((1, 2))
+
+
+# --- sympy's cyclotomic and squarefree routines against oracles --------------
+
+
+def test_cyclotomic_matches_division_oracle():
+    """Phi_d = (x^d - 1) / prod over e | d, e < d, of Phi_e, for d <= 150."""
+    oracle = {}
+    for d in range(1, 151):
+        f = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
+        for e in range(1, d):
+            if d % e == 0:
+                f = f.exact_div(oracle[e])
+        oracle[d] = f
+        assert cyclotomic(d) == f, d
+
+
+def test_cyclotomic_refuses_nonpositive_index():
+    for d in (0, -3):
+        with pytest.raises(ValueError):
+            cyclotomic(d)
+
+
+def test_is_squarefree_matches_gcd_oracle():
+    """Squarefree iff gcd(f, f') is constant, on 2,000 seeded polynomials:
+    random ones, constants, g*h^2 products and products of two factors."""
+    rng = random.Random(20261019)
+    cases = [IntPolynomial((c,)) for c in (1, -1, 7)]
+    for _ in range(1997):
+        kind = rng.randrange(3)
+        f = _random_poly(rng, 1, 8)
+        if kind == 1:
+            h = _random_poly(rng, 1, 3)
+            f = _random_poly(rng, 0, 3) * h * h
+        elif kind == 2:
+            f = _random_poly(rng, 1, 4) * _random_poly(rng, 1, 4)
+        cases.append(f)
+    squares = 0
+    for f in cases:
+        oracle = f.is_constant() or poly_gcd(f, f.derivative()).is_constant()
+        assert is_squarefree(f) == oracle, f
+        squares += not oracle
+    assert len(cases) == 2000 and squares > 600

@@ -19,12 +19,15 @@ from padicorder import (
     Witness,
     WitnessCertificate,
     ZeroRoot,
+    PROVEN,
     cyclotomic,
+    euler_phi,
     find_witness,
     is_squarefree,
     newton_polygon,
     padic_witness,
     product_formula_check,
+    root_of_unity_order,
     verify_witness_certificate,
     witness_cert_from_doc,
     witness_result_to_doc,
@@ -62,6 +65,13 @@ def test_padic_witness_key_example():
 
 def test_padic_witness_none_for_monic():
     assert padic_witness(IntPolynomial((-1, -1, 1))) is None
+    # monic input is answered before the squarefree test
+    assert padic_witness(IntPolynomial((1, 2, 1))) is None
+
+
+def test_padic_witness_rejects_repeated_factor_when_non_monic():
+    with pytest.raises(NotSquarefree):
+        padic_witness(IntPolynomial((1, -4, 4)))  # (2x - 1)^2
 
 
 def test_find_witness_trichotomy_cases():
@@ -81,6 +91,62 @@ def test_find_witness_trichotomy_cases():
     assert arch.certificate.place.kind == "archimedean"
     assert arch.certificate.norm_bound > 1
     assert verify_witness_certificate(arch.certificate)
+
+
+def test_proven_root_of_unity_verdict_matches_root_of_unity_order():
+    """A proven spec is decided by comparing f with Phi_d, phi(d) = deg f;
+    on every Phi_d with phi(d) <= 24 and 1,000 seeded irreducible inputs,
+    half of them monic with constant term +-1 like every Phi_d, that gives
+    root_of_unity_order's verdict."""
+    rng = random.Random(20261019)
+    specs = [
+        AlgebraicNumberSpec.from_poly(cyclotomic(d), prove=True)
+        for d in range(1, 2 * 24 * 24 + 1)
+        if euler_phi(d) <= 24
+    ]
+    drawn = 0
+    while drawn < 1000:
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))]
+        if drawn % 2:
+            coeffs[0], coeffs[-1] = rng.choice((1, -1)), 1
+        coeffs[-1] = coeffs[-1] or 1
+        spec = AlgebraicNumberSpec.from_poly(IntPolynomial(tuple(coeffs)), prove=True)
+        if spec.irreducibility_status == PROVEN and coeffs[0] != 0:
+            specs.append(spec)
+            drawn += 1
+    orders = []
+    for spec in specs:
+        result = find_witness(spec)
+        orders.append(result.order if isinstance(result, RootOfUnity) else None)
+        assert orders[-1] == root_of_unity_order(spec.defining_poly), spec.defining_poly
+    assert len(orders) - orders.count(None) > 100  # some draws are cyclotomic too
+
+
+@pytest.mark.parametrize(
+    "f, kind",
+    [
+        (cyclotomic(12), None),
+        (IntPolynomial((-1, -1, 0, 1)), "archimedean"),  # x^3 - x - 1
+        (IntPolynomial((5, -6, 5)), "non_archimedean"),
+    ],
+)
+def test_proven_spec_needs_no_cyclotomic_peel_or_gcd(monkeypatch, f, kind):
+    """The irreducibility proof settles the root-of-unity question, so the
+    finder neither peels cyclotomic factors nor takes a gcd."""
+    from padicorder import intpoly
+
+    def refuse(*args):
+        raise AssertionError("the irreducibility proof already decides this")
+
+    spec = AlgebraicNumberSpec.from_poly(f, prove=True)
+    assert spec.irreducibility_status == PROVEN
+    monkeypatch.setattr(intpoly, "factor_out_cyclotomics", refuse)
+    monkeypatch.setattr(intpoly, "poly_gcd", refuse)
+    result = find_witness(spec)
+    if kind is None:
+        assert isinstance(result, RootOfUnity) and result.order == 12
+    else:
+        assert result.certificate.place.kind == kind
 
 
 def test_find_witness_rejects_zero_root():

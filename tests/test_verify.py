@@ -351,6 +351,19 @@ def test_integral_cap_is_a_verifier_limit(capsys, tmp_path):
     assert code == 2 and "exceeds this verifier's limits" in out and "malformed" not in out
 
 
+def test_integral_children_cap_is_a_verifier_limit(capsys, tmp_path, deadline):
+    """2^17 children per cylinder exceed integrate's cap: the document is
+    well formed, so verify reports a limit, not a malformed certificate."""
+    argv = ["integrate", "--prime", "2", "--density", "x1", "--depth", "2", "--dim"]
+    doc = produce(capsys, *argv, "1")
+    doc["region"]["dim"], doc["region"]["center"] = 17, ["0/1"] * 17
+    with deadline(1):
+        code, out = verify(capsys, tmp_path, doc)
+    assert code == 2 and "exceeds this verifier's limits" in out and "malformed" not in out
+    assert "children" in out
+    assert main([*argv, "17"]) == 1
+
+
 @pytest.mark.parametrize("value", [[], [1, 2], "witness", 3, None])
 def test_non_object_is_unknown_kind(capsys, tmp_path, value):
     code, out = verify(capsys, tmp_path, value)
