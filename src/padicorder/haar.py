@@ -4,7 +4,10 @@ Regions are cylinders ``center + p^depth * Zp^n`` with the normalization
 mu(Zp^n) = 1, so a depth-m cylinder has measure exactly p^(-m*n).
 Densities are |f|^(1/m) for a rational-coefficient polynomial f; their
 integrals are computed by residue-class subdivision on integers mod
-p^depth and returned as certified rational enclosures.  The right side of
+p^depth and returned as certified rational enclosures.  Subtrees on which
+v_p(f) is constant, or where grad f is a p-adic unit (Hensel's lemma), are
+counted in closed form from Taylor's formula instead of being visited; see
+integrate.  The right side of
 the substitution identity, f(phi(x)) * det J(x)^m, and the Jacobian
 determinant are built in sympy's sparse ring QQ[x1..xn].
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -220,20 +224,28 @@ def integrate(
 ) -> RationalInterval:
     """Certified enclosure of the integral of |f|^(1/m) over the region.
 
-    Subdivides into residue-class cylinders; on a depth-k cylinder with
-    center a and v_p(f(a)) < k the valuation of f is constant (because
-    f(x) = f(a) mod p^k for p-integral f), so the contribution is exact.
-    The walk tallies the measure of the resolved cylinders per valuation
-    v, and of those still unresolved at max_depth; then each tally is
-    scaled by one enclosure of p^(-v/m), the unresolved one by [0, p^(-D/m)].
-
     f is scaled by p^t, t = max(0, -min v_p(coefficient)), and the integral
     by the enclosure of p^(t/m); then by the p-unit lcm of its denominators,
     which changes no valuation.  The walk runs on ints mod q = p^D, with the
-    coefficients and the center (num * den^-1) reduced mod q.  As f(a') = f(a)
-    mod q for a' = a mod q, v_p(f(a)) < D is read exactly from the residue,
-    and residue 0 means v_p >= D >= k, where a walk on rational centers also
-    subdivides or leaves the cylinder unresolved: the endpoints are the same.
+    coefficients and the center (num * den^-1) reduced mod q; f(a') = f(a)
+    mod q for a' = a mod q, so V = v_p(f(a)) is read exactly from the residue
+    where it is below D, and residue 0 is read as V = D, meaning v_p >= D.
+
+    The walk tallies, per valuation v < D, the exact measure of {v_p(f) = v}
+    and, under key D, that of {v_p(f) >= D}; then each tally is scaled by
+    one enclosure of p^(-v/m), the key-D one by [0, p^(-D/m)].  A depth-k
+    cylinder C = a + p^k Zp^n with V < k has v_p(f) = V on C.  For k >= 1,
+    Taylor's formula for integer f gives f(a + p^k y) = f(a) + p^k grad f(a).y
+    + p^(2k) * (integer polynomial); with w = min_i v_p(d_i f(a)), capped at
+    D, and V >= k, C's subtree is counted in closed form in two cases:
+    - constant: V < min(k + w, 2k), so v_p(f) = V on all of C;
+    - smooth: w = 0, so f = p^k h with h of unit gradient, and by Hensel's
+      lemma {v_p(h) >= i} has measure p^-i in C, for every i >= 0.
+    Every other cylinder is split into its p^n children.  Each tally is an
+    exact measure, so the endpoints equal those of a walk that visits every
+    cylinder.  The _MAX_CYLINDERS cap is charged with the children that
+    walk would create: sum_{j=k}^{min(V, D-1)} p^(n(j-k+1)) for a constant
+    C, and sum_{j=k}^{D-1} p^(n(j-k+1)-(j-k)) for a smooth one.
     """
     p, m, n = region.prime, d.root_index, region.dimension
     if max_depth <= region.depth:
@@ -249,43 +261,58 @@ def integrate(
         raise MaxPrecisionExceeded(f"integral needs numbers of {need} bits, above {_MAX_BITS}")
     t = max(0, -d.f.min_p_valuation(p))
     f = d.f.scale(Fraction(p) ** t)
-    q = p**max_depth
+    D, q = max_depth, p**max_depth
     lcm = math.lcm(*(c.denominator for _, c in f.terms))
     terms = [(e, c.numerator * (lcm // c.denominator) % q) for e, c in f.terms]
-    center = tuple(c.numerator * pow(c.denominator, -1, q) % q for c in region.center)
-    residues = list(itertools.product(range(p), repeat=n))
-    offsets: dict = {}  # depth k -> the child offsets p^k * r
-    tally: dict = {}  # valuation -> measure * p^(n*D); None -> unresolved
-    stack = [(center, region.depth)]
-    cylinders = 0
-    while stack:
-        a, k = stack.pop()
+    grads = [
+        [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i] % q) for e, c in terms if e[i]]
+        for i in range(n)
+    ]
+
+    def val(poly, a):  # v_p(poly(a)), capped at D
         value = 0
-        for e, c in terms:
+        for e, c in poly:
             for x, j in zip(a, e):
                 if j:
                     c *= pow(x, j, q)
             value += c
         value %= q
-        v = padic_valuation(value, p) if value else None
-        if v is None or v >= k:
-            if k < max_depth:
-                cylinders += len(residues)
-                if cylinders > _MAX_CYLINDERS:
-                    raise MaxPrecisionExceeded(
-                        f"integral subdivides past {_MAX_CYLINDERS} cylinders"
-                    )
-                if k not in offsets:
-                    offsets[k] = [tuple(p**k * r for r in rs) for rs in residues]
-                stack.extend((tuple(map(add, a, off)), k + 1) for off in offsets[k])
-                continue
-            v = None
-        tally[v] = tally.get(v, 0) + p ** (n * (max_depth - k))
+        return padic_valuation(value, p) if value else D
+
+    center = tuple(c.numerator * pow(c.denominator, -1, q) % q for c in region.center)
+    residues = list(itertools.product(range(p), repeat=n))
+    offsets: dict = {}  # depth k -> the child offsets p^k * r
+    tally: dict = defaultdict(int)  # valuation -> measure * p^(n*D)
+    stack = [(center, region.depth)]
+    cylinders = 0
+    while stack:
+        a, k = stack.pop()
+        v = val(terms, a)
+        if v < k or k == D:
+            tally[v] += p ** (n * (D - k))
+            continue
+        w = min(val(g, a) for g in grads) if k else None  # depth 0 always splits
+        if w is not None and v < min(k + w, 2 * k):  # constant
+            tally[v] += p ** (n * (D - k))
+            charge = sum(p ** (n * (j + 1)) for j in range(min(v, D - 1) - k + 1))
+        elif w == 0:  # smooth
+            for i in range(D - k):
+                tally[k + i] += (p - 1) * p ** (n * (D - k) - i - 1)
+            tally[D] += p ** ((n - 1) * (D - k))
+            charge = sum(p ** (n * (j + 1) - j) for j in range(D - k))
+        else:
+            charge = len(residues)
+            if k not in offsets:
+                offsets[k] = [tuple(p**k * r for r in rs) for rs in residues]
+            stack.extend((tuple(map(add, a, off)), k + 1) for off in offsets[k])
+        cylinders += charge
+        if cylinders > _MAX_CYLINDERS:
+            raise MaxPrecisionExceeded(f"integral subdivides past {_MAX_CYLINDERS} cylinders")
     total = RationalInterval.point(0)
     for v, count in tally.items():
-        mu = Fraction(count, p ** (n * max_depth))
-        e = p_power_enclosure(p, Fraction(-(max_depth if v is None else v), m), bits)
-        total = total + RationalInterval(0 if v is None else e.lo * mu, e.hi * mu)
+        mu = Fraction(count, p ** (n * D))
+        e = p_power_enclosure(p, Fraction(-v, m), bits)
+        total = total + RationalInterval(0 if v == D else e.lo * mu, e.hi * mu)
     return total * p_power_enclosure(p, Fraction(t, m), bits)
 
 

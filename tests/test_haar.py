@@ -1,6 +1,7 @@
 """Haar integration: cylinder law, residue-enumeration oracle, closed
 forms, pushforward, change of variables, scaling."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -457,3 +458,113 @@ def test_jacobian_det_pointwise():
         for _ in range(3):
             a = _random_point(rng, n)
             assert jac(a) == _det_by_hand(_jacobian_by_hand(phi, a))
+
+
+# --- closed-form subtrees against the walk that visits every cylinder --------
+
+
+def plain_walk(d, region, max_depth):
+    """integrate's walk before it counted constant and smooth subtrees in
+    closed form: every cylinder with v_p(f(center)) >= depth is split, up to
+    max_depth.  Returns (endpoints, number of children it created)."""
+    p, m, n = region.prime, d.root_index, region.dimension
+    bits = haar._scale_bits(p, max_depth)
+    t = max(0, -d.f.min_p_valuation(p))
+    f = d.f.scale(Fraction(p) ** t)
+    q = p**max_depth
+    lcm = math.lcm(*(c.denominator for _, c in f.terms))
+    terms = [(e, c.numerator * (lcm // c.denominator) % q) for e, c in f.terms]
+    center = tuple(c.numerator * pow(c.denominator, -1, q) % q for c in region.center)
+    residues = list(itertools.product(range(p), repeat=n))
+    tally, cylinders = {}, 0
+    stack = [(center, region.depth)]
+    while stack:
+        a, k = stack.pop()
+        value = sum(c * math.prod(pow(x, j, q) for x, j in zip(a, e)) for e, c in terms) % q
+        v = haar.padic_valuation(value, p) if value else None
+        if v is None or v >= k:
+            if k < max_depth:
+                cylinders += len(residues)
+                stack.extend((tuple(x + p**k * r for x, r in zip(a, rs)), k + 1) for rs in residues)
+                continue
+            v = None
+        tally[v] = tally.get(v, 0) + p ** (n * (max_depth - k))
+    total = RationalInterval.point(0)
+    for v, count in tally.items():
+        mu = Fraction(count, p ** (n * max_depth))
+        e = haar.p_power_enclosure(p, Fraction(-(max_depth if v is None else v), m), bits)
+        total = total + RationalInterval(0 if v is None else e.lo * mu, e.hi * mu)
+    total = total * haar.p_power_enclosure(p, Fraction(t, m), bits)
+    return (total.lo, total.hi), cylinders
+
+
+def _oracle_cases():
+    """1,200 seeded draws, 1,197 of them nonzero densities: n <= 3, p in
+    {2, 3, 5}, m in {1, 2, 3}, region depth 0-2, rational centers, p in
+    coefficient denominators; the depth keeps the full tree below the
+    region within 2^13 cylinders."""
+    rng = random.Random("haar-closed-form")
+    for _ in range(1200):
+        n, p, m = rng.randint(1, 3), rng.choice([2, 3, 5]), rng.randint(1, 3)
+        rdepth = rng.randint(0, 2)
+        depth = rdepth + rng.randint(1, min(12, max(1, int(13 / (n * math.log2(p))))))
+        dens = [1, 2, 3, p, p * p]
+        f = _random_poly(rng, n, 3, lambda deg: Fraction(rng.randint(-6, 6), rng.choice(dens)) or 1)
+        units = [u for u in (1, 2, 3, 7) if u % p]
+        center = tuple(Fraction(rng.randint(-20, 20), rng.choice(units)) for _ in range(n))
+        if not f.is_zero:
+            yield PolyDensity(f, m), Cylinder(p, n, center, rdepth), depth
+
+
+def _assert_matches_plain_walk(monkeypatch, d, region, depth, ends, count):
+    """The plain walk's endpoints, and the cylinder cap charged with exactly
+    the plain walk's count: its count passes, one fewer is refused."""
+    monkeypatch.setattr(haar, "_MAX_CYLINDERS", count)
+    iv = integrate(d, region, depth)
+    assert (iv.lo, iv.hi) == ends
+    if count:
+        monkeypatch.setattr(haar, "_MAX_CYLINDERS", count - 1)
+        with pytest.raises(MaxPrecisionExceeded, match=f"past {count - 1} cylinders"):
+            integrate(d, region, depth)
+
+
+def test_integrate_equals_plain_walk_on_random_cases(monkeypatch):
+    cases = list(_oracle_cases())
+    assert len(cases) >= 1000
+    for d, region, depth in cases:
+        _assert_matches_plain_walk(monkeypatch, d, region, depth, *plain_walk(d, region, depth))
+
+
+# the benchmark's densities at its primes and depths, on seeded centers
+BENCH_DENSITIES = [
+    ({(1,): 1}, 3, 12),
+    ({(1, 1): 1}, 2, 8),
+    ({(2, 0): 1, (0, 3): -1}, 3, 6),
+    ({(1, 1, 0): 1, (0, 0, 1): -1}, 5, 2),
+]
+
+
+@pytest.mark.parametrize("terms, p, depth", BENCH_DENSITIES)
+def test_integrate_equals_plain_walk_on_bench_densities(monkeypatch, terms, p, depth):
+    n = len(next(iter(terms)))
+    rng = random.Random(f"haar-bench-{p}-{depth}")
+    f = MultiPoly.from_dict(n, terms)
+    for _ in range(3):
+        center = tuple(rng.randrange(1, p**depth) for _ in range(n))
+        d, region = PolyDensity(f, 1), Cylinder(p, n, center, 0)
+        _assert_matches_plain_walk(monkeypatch, d, region, depth, *plain_walk(d, region, depth))
+
+
+def test_cylinder_cap_boundary_on_smooth_subtrees(monkeypatch):
+    """Both densities reach the smooth rule below the root: x has a unit
+    derivative, and x1*x2 - x3 a unit x3-derivative everywhere."""
+    d, region = PolyDensity(X, 1), Cylinder.unit_polydisc(2)
+    _assert_matches_plain_walk(monkeypatch, d, region, 100, *plain_walk(d, region, 100))
+    # x1*x2 - x3 at p = 5, depth 4: the plain walk splits, at each depth j,
+    # the 5^(2j) cylinders where f = 0 mod 5^j, into 5^3 children each, so it
+    # creates 5^3 + 5^5 + 5^7 + 5^9 of them; plain_walk counts them in 10 s.
+    # f is a submersion, so it pushes Haar measure forward to Haar measure:
+    # the same tallies, hence endpoints, as |x| on Z_5
+    ends, _ = plain_walk(PolyDensity(X, 1), Cylinder.unit_polydisc(5), 4)
+    d = PolyDensity(MultiPoly.from_dict(3, {(1, 1, 0): 1, (0, 0, 1): -1}), 1)
+    _assert_matches_plain_walk(monkeypatch, d, Cylinder.unit_polydisc(5, 3), 4, ends, 2_034_500)

@@ -322,8 +322,11 @@ def test_integral_document_with_blow_up_density_is_invalid(capsys, tmp_path, hon
 
 
 # Unbounded, each of these ran for many seconds: depth 8000 for 50 s before
-# failing on Python's int-to-str limit, x1*x2-x3 at p = 5 past 40 s (its walk
-# keeps 25 times more cylinders a level), and |x|^(1/100000) at depth 10 for 3.3 s.
+# failing on Python's int-to-str limit, x1*x2-x3 at p = 5 past 40 s when the
+# walk visited every cylinder, and |x|^(1/100000) at depth 10 for 3.3 s.
+# integrate now counts smooth and constant-valuation subtrees in closed form
+# (Hensel's lemma), but charges the cap with the cylinders that a visiting
+# walk would create, so the same inputs are refused by the same caps.
 INTEGRAL_BLOW_UPS = [
     (("--prime", "2", "--density", "x", "--dim", "1"), 8000, 1, "bits"),
     (("--prime", "5", "--density", "x1*x2-x3", "--dim", "3"), 6, 1, "cylinders"),
@@ -342,6 +345,20 @@ def test_integral_blow_up_is_refused(capsys, tmp_path, deadline, argv, depth, m,
         code, out = verify(capsys, tmp_path, doc)
     assert code == 2 and "INVALID" in out and cap in out
 
+
+
+def test_forged_cylinder_blow_up_is_refused_within_a_second(capsys, tmp_path, deadline):
+    """The cap is charged in closed form for smooth subtrees, so the forged
+    depth-6 x1*x2-x3 document is refused without walking 2^20 cylinders."""
+    argv, depth, m, cap = INTEGRAL_BLOW_UPS[1]
+    with deadline(1):
+        code = main(["integrate", *argv, "--depth", str(depth), "--root-index", str(m)])
+    assert code == 1 and cap in capsys.readouterr().err
+    doc = produce(capsys, "integrate", *argv, "--depth", "2")
+    doc["depth"], doc["root_index"] = depth, m
+    with deadline(1):
+        code, out = verify(capsys, tmp_path, doc)
+    assert code == 2 and "INVALID" in out and cap in out
 
 def test_integral_cap_is_a_verifier_limit(capsys, tmp_path):
     argv, depth, m, _ = INTEGRAL_BLOW_UPS[0]
