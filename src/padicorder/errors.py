@@ -5,15 +5,6 @@ class PadicOrderError(Exception):
     """Base class for all library errors."""
 
 
-class PrecisionExhausted(PadicOrderError):
-    """Cancellation consumed every tracked digit; the result is
-    indistinguishable from zero at the current precision."""
-
-
-class DivisionByZero(PadicOrderError):
-    """Inversion of the zero element."""
-
-
 class NotSquarefree(PadicOrderError):
     """An operation requiring a squarefree polynomial received one
     with a repeated factor."""

@@ -173,7 +173,7 @@ class PolyDensity:
 
 @dataclass(frozen=True)
 class PolyMap:
-    """Polynomial map with symbolically computed Jacobian determinant."""
+    """A polynomial map Q^n -> Q^m given by its component polynomials."""
 
     components: tuple[MultiPoly, ...]
 
@@ -195,9 +195,6 @@ class PolyMap:
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
         return cls(tuple(MultiPoly.variable(n, i) for i in range(n)))
-
-    def jacobian_det(self) -> MultiPoly:
-        return _out_of_ring(self.source_dim, _ring_jacobian(self)[1])
 
     def __call__(self, point) -> tuple[Fraction, ...]:
         return tuple(c(point) for c in self.components)

@@ -78,10 +78,6 @@ class ComplexBox:
         hi = axis_max(self.real) ** 2 + axis_max(self.imag) ** 2
         return RationalInterval(lo, hi)
 
-    def straddles_unit_circle(self) -> bool:
-        m2 = self.mod_squared_interval()
-        return m2.lo <= 1 <= m2.hi
-
     def __str__(self):
         return f"{self.real} x {self.imag}"
 

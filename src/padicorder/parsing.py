@@ -110,7 +110,7 @@ def parse_multipoly(text: str, nvars: int | None = None) -> MultiPoly:
     terms = _sum_of_monomials(text)
     names = {name for key in terms for name, _ in key}
     top = max((int(name or 1) for name in names), default=1)
-    n = nvars or top
+    n = top if nvars is None else nvars
     if "" in names and (len(names) > 1 or n != 1):
         raise ParseError("plain 'x' must be the only variable, in dimension 1")
     if top > n or n > 999:

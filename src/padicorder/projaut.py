@@ -14,9 +14,11 @@ mp (non-semisimplicity), or a local-field witness that some eigenvalue
 of N lies off the unit circle at a place.
 
 Determinants, inverses, powers and Krylov annihilators run on sympy's
-DomainMatrix over QQ.  The Fraction helpers identity_matrix, mat_mul,
-mat_pow, is_scalar_matrix, kron, transpose and conjugation_operator stay
-as independent references for the tests; no decision calls them.
+DomainMatrix over QQ.  No decision calls the Fraction helpers
+identity_matrix, mat_mul, mat_pow, mat_inv, mat_det, is_scalar_matrix,
+kron and transpose, nor conjugation_operator or linear_order: the tests
+use them as independent references.  conjugation_operator and
+linear_order also stay because bench/bench_trace.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -169,11 +171,6 @@ def minimal_polynomial(m) -> IntPolynomial:
     return result
 
 
-def is_semisimple(m) -> bool:
-    """Squarefree minimal polynomial, the exact semisimplicity criterion."""
-    return is_squarefree(minimal_polynomial(m))
-
-
 def linear_order(m):
     """Smallest n with M^n = 1 in GL, or None for infinite order."""
     mp = minimal_polynomial(m)
@@ -273,19 +270,6 @@ def certify_diagonal(eigenvalues) -> OrderVerdict:
     return OrderVerdict(
         kind="finite", order=math.lcm(*orders), conditionality=cond
     )
-
-
-def ratio_polynomial(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """A polynomial vanishing on every ratio alpha/beta with f(alpha) = 0,
-    g(beta) = 0, via the resultant Res_y(g(y), f(x*y))."""
-    from sympy import Poly, resultant, symbols
-
-    x, y = symbols("x y")
-    fxy = sum(c * (x * y) ** i for i, c in enumerate(f.coeffs))
-    gy = sum(c * y**i for i, c in enumerate(g.coeffs))
-    res = Poly(resultant(gy, fxy, y), x)
-    coeffs = [int(c) for c in reversed(res.all_coeffs())]
-    return IntPolynomial.from_coeffs(coeffs).primitive_part()
 
 
 # --- the shell tiling argument ---------------------------------------------

@@ -79,7 +79,8 @@ def test_cyclotomic_roots_straddle_unit_circle():
     boxes = isolate_roots(cyclotomic(5), Fraction(1, 32))
     assert len(boxes) == 4
     for b in boxes:
-        assert b.straddles_unit_circle()
+        m2 = b.mod_squared_interval()
+        assert m2.lo <= 1 <= m2.hi
 
 
 def test_product_of_moduli_contains_constant_ratio():

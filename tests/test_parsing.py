@@ -26,6 +26,11 @@ def test_integrate_malformed_density_exits_1(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_integrate_dimension_zero_exits_1(capsys):
+    assert main(["integrate", "--prime", "3", "--density", "x", "--dim", "0"]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_integer_before_variable_is_a_product():
     # hexadecimal and other Python number syntax is not read: 0x1 is 0 * x1
     assert parse_multipoly("0x1 + x1") == MultiPoly.variable(1, 0)
@@ -41,7 +46,7 @@ def test_witness_refuses_sign_after_operator(capsys):
 
 def test_large_variable_index_or_dimension_is_refused_at_once(deadline):
     with deadline(1):
-        for text, nvars in [("x100000", None), ("x1000", None), ("x1", 1000)]:
+        for text, nvars in [("x100000", None), ("x1000", None), ("x1", 1000), ("x", 0)]:
             with pytest.raises(ParseError):
                 parse_multipoly(text, nvars)
     assert parse_multipoly("x999").nvars == 999

@@ -14,11 +14,10 @@ from padicorder import (
     conjugation_operator,
     cyclotomic,
     factor_out_cyclotomics,
-    is_semisimple,
+    is_squarefree,
     linear_order,
     minimal_polynomial,
     projective_order,
-    ratio_polynomial,
     sphere_measure,
     verify_shell_tiling,
     verify_witness_certificate,
@@ -61,9 +60,10 @@ def test_minimal_polynomial_examples():
 
 
 def test_semisimplicity():
-    assert is_semisimple(identity_matrix(2))
-    assert is_semisimple(F([[0, -1], [1, 0]]))
-    assert not is_semisimple(F([[1, 1], [0, 1]]))
+    # semisimple exactly when the minimal polynomial is squarefree
+    assert is_squarefree(minimal_polynomial(identity_matrix(2)))
+    assert is_squarefree(minimal_polynomial(F([[0, -1], [1, 0]])))
+    assert not is_squarefree(minimal_polynomial(F([[1, 1], [0, 1]])))
 
 
 def test_factor_out_cyclotomics():
@@ -323,14 +323,6 @@ def test_certify_diagonal_witness():
     assert v.certificate is not None
     assert v.certificate.place.prime == 5
     assert verify_witness_certificate(v.certificate)
-
-
-def test_ratio_polynomial_has_ratio_roots():
-    # ratios of roots of x^2 - 5x + 6 (2 and 3): 1, 2/3, 3/2.
-    f = IntPolynomial((6, -5, 1))
-    r = ratio_polynomial(f, f)
-    for val in (Fraction(1), Fraction(2, 3), Fraction(3, 2)):
-        assert r(val) == 0
 
 
 def test_sphere_and_ball_measures():
