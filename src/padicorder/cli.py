@@ -176,6 +176,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.dim > 999:  # integrate's bound, checked before the center is built
+        raise ValueError(f"dimension {args.dim} must be 1 to 999")
     region = _region_from_args(args, args.prime, args.dim)
     mu = cylinder_measure(region)
     doc = {

@@ -143,6 +143,8 @@ class Cylinder:
         return cls(p, n, (Fraction(0),) * n, 0)
 
     def measure(self) -> Fraction:
+        if (bits := self.depth * self.dimension * self.prime.bit_length()) > _MAX_BITS:
+            raise MaxPrecisionExceeded(f"measure needs numbers of {bits} bits, above {_MAX_BITS}")
         return Fraction(1, self.prime ** (self.depth * self.dimension))
 
     def children(self):
@@ -205,7 +207,7 @@ class PolyMap:
 
 # integrate raises MaxPrecisionExceeded when a cylinder has more than _MAX_CHILDREN
 # children (it lists them up front), when exact numbers would exceed _MAX_BITS
-# bits, and when the walk would pass _MAX_CYLINDERS cylinders
+# bits (Cylinder.measure too), and when the walk would pass _MAX_CYLINDERS cylinders
 _MAX_CHILDREN = 2**16
 _MAX_BITS = 2**13
 _MAX_CYLINDERS = 2**20

@@ -1,7 +1,7 @@
 """Exact textual formats: rationals, polynomials, matrices.
 
 Everything round-trips bit-exactly; rationals are decimal integer-string
-fractions ``a/b`` throughout.
+fractions ``a/b`` throughout, and input rationals may also be plain decimals.
 
 Polynomial text has one grammar, read here without any evaluator: a sum
 of monomials, each a sign (optional on the first) and factors joined by
@@ -23,6 +23,8 @@ from .intpoly import IntPolynomial
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
+    if "e" in text.lower():  # Fraction would compute 10^exponent first
+        raise ParseError(f"bad rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -3,22 +3,21 @@
 A class [M] in PGL_n has finite order iff M is semisimple and
 N = M^n / det M has finite order in GL_n.  The eigenvalues of N are
 mu_i = prod_j lambda_i / lambda_j, products of the eigenvalue ratios of
-M.  Everything is exact rational linear algebra on small matrices: the
-minimal polynomial mp of M must be squarefree, and then the decision
-runs in Q[M], which is Q[x]/(mp).  There M acts as the d x d companion
-matrix C of mp (d = deg mp) with the cyclic vector 1, so the minimal
-polynomial of N is the annihilator of 1 under C^n / det M, and M^k is
-scalar iff C^k 1 is a constant; no n x n power of M is formed.
-Infinite order comes with a re-checkable reason: a repeated factor of
-mp (non-semisimplicity), or a local-field witness that some eigenvalue
-of N lies off the unit circle at a place.
+M.  The minimal polynomial mp of M must be squarefree, and then the
+decision runs in Q[M] = Q[x]/(mp), on the sequence x^k mod mp of
+d = deg mp rationals, each from the last by a shift and a reduction.
+N is x^n / det M, so its minimal polynomial is the first linear relation
+among the x^(n j) / (det M)^j, and M^k is scalar iff x^k mod mp is a
+constant; no matrix is formed after mp.  Infinite order comes with a
+re-checkable reason: a repeated factor of mp (non-semisimplicity), or a
+local-field witness that some eigenvalue of N lies off the unit circle.
 
-Determinants, inverses, powers and Krylov annihilators run on sympy's
-DomainMatrix over QQ.  No decision calls the Fraction helpers
-identity_matrix, mat_mul, mat_pow, mat_inv, mat_det, is_scalar_matrix,
-kron and transpose, nor conjugation_operator or linear_order: the tests
-use them as independent references.  conjugation_operator and
-linear_order also stay because bench/bench_trace.py wraps them by name.
+Determinants, inverses, M's Krylov products and the echelon forms that
+find linear relations run on sympy's DomainMatrix over QQ.  No decision
+calls the Fraction helpers identity_matrix, mat_mul, mat_pow, mat_inv,
+mat_det, is_scalar_matrix, kron and transpose, nor conjugation_operator
+or linear_order: the tests use them as independent references, and
+bench/bench_trace.py wraps the last two by name.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -141,15 +141,11 @@ def conjugation_operator(m: Matrix) -> Matrix:
 # --- minimal polynomials ----------------------------------------------------
 
 
-def _annihilator(m: DomainMatrix, v: DomainMatrix) -> IntPolynomial:
-    """Minimal polynomial of m on the Krylov space of the column v, as a
-    primitive integer polynomial: in the reduced echelon form of
-    [v, mv, ..., m^n v] the pivots are 0..k-1, and column k holds the
-    coefficients of m^k v in terms of v, ..., m^(k-1) v."""
-    krylov = [v]
-    for _ in range(m.shape[0]):
-        krylov.append(m * krylov[-1])
-    rref, pivots = v.hstack(*krylov[1:]).rref()
+def _first_relation(columns: DomainMatrix) -> IntPolynomial:
+    """The first relation sum a_i c_i = 0 among Krylov columns c_0, c_1, ...
+    as a primitive integer polynomial sum a_i x^i: the reduced echelon form
+    has pivots 0..k-1, and column k holds c_k in terms of the earlier c_i."""
+    rref, pivots = columns.rref()
     k = len(pivots)
     coeffs = [-row[k] for row in rref.to_list()[:k]] + [QQ(1)]
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -164,11 +160,24 @@ def minimal_polynomial(m) -> IntPolynomial:
     eye = DomainMatrix.eye(n, QQ)
     result = IntPolynomial.from_coeffs([1])
     for i in range(n):
-        ann = _annihilator(m, eye[:, i])
+        krylov = [eye[:, i]]
+        for _ in range(n):
+            krylov.append(m * krylov[-1])
+        ann = _first_relation(krylov[0].hstack(*krylov[1:]))
         result = (result * ann).exact_div(poly_gcd(result, ann)).primitive_part()
         if result.degree == n:
             break
     return result
+
+
+def _powers_of_x(mp: IntPolynomial):
+    """x^k mod mp for k = 0, 1, ..., as deg mp rationals, lowest first."""
+    *low, lead = mp.coeffs
+    tail = [QQ(-a, lead) for a in low]  # x^d = sum tail_i x^i mod mp
+    v = [QQ(1)] + [QQ(0)] * (len(low) - 1)
+    while True:
+        yield v
+        v = [c + v[-1] * t for c, t in zip([QQ(0)] + v[:-1], tail)]
 
 
 def linear_order(m):
@@ -210,28 +219,18 @@ def projective_order(m) -> OrderVerdict:
         return OrderVerdict(
             kind="infinite", reason=NOT_SEMISIMPLE, jordan_evidence=evidence
         )
-    # Q[M] is Q[x]/(mp): M acts as the companion matrix c of mp, and 1 = e0
-    # is a cyclic vector, so N's minimal polynomial is e0's annihilator
+    # in Q[M] = Q[x]/(mp), N is x^n / det: its minimal polynomial is the
+    # first relation among the x^(n j) / det^j, j = 0..d
     n, d = qm.shape[0], mp.degree
-    c = DomainMatrix(
-        [
-            [QQ(1 if i == j + 1 else 0) for j in range(d - 1)] + [QQ(-a, mp.leading)]
-            for i, a in enumerate(mp.coeffs[:-1])
-        ],
-        (d, d),
-        QQ,
-    )
-    e0 = DomainMatrix.eye(d, QQ)[:, 0]
-    matched, rem = factor_out_cyclotomics(_annihilator(c**n * (1 / det), e0))
+    powers = _powers_of_x(mp)
+    seq = list(islice(powers, n * d + 1))
+    krylov = DomainMatrix([[c / det**j for c in v] for j, v in enumerate(seq[::n])], (d + 1, d), QQ)
+    matched, rem = factor_out_cyclotomics(_first_relation(krylov.transpose()))
     if rem.coeffs == (1,):
         # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k;
-        # M^k is scalar iff x^k mod mp, the vector c^k e0, is a constant
-        v = e0
-        for order in range(1, n * math.lcm(*matched) + 1):
-            v = c * v
-            if v[1:, :].is_zero_matrix:
-                break
-        return OrderVerdict(kind="finite", order=order)
+        # M^k is scalar iff x^k mod mp is a constant
+        checked = islice(enumerate(chain(seq, powers)), 1, n * math.lcm(*matched) + 1)
+        return OrderVerdict(kind="finite", order=next(k for k, v in checked if not any(v[1:])))
     result = find_witness(AlgebraicNumberSpec.from_poly(rem, prove=True))
     assert isinstance(result, Witness)
     return OrderVerdict(

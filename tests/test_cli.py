@@ -125,6 +125,19 @@ def test_measure(capsys):
     assert code == 0 and "1/25" in out
 
 
+def test_measure_refuses_large_depth_or_dimension(capsys):
+    # the bits cap is 2^13: p = 2 has 2 bits, so depth 4096 is the largest
+    code, out, _ = run(capsys, "measure", "--prime", "2", "--region-depth", "4096")
+    assert code == 0 and out == f"measure = 1/{2**4096}\n"
+    code, _, err = run(capsys, "measure", "--prime", "2", "--region-depth", "4097")
+    assert code == 1 and "above 8192" in err
+    code, _, err = run(capsys, "measure", "--prime", "2", "--region-depth", "20000")
+    assert code == 1 and "above 8192" in err
+    assert run(capsys, "measure", "--prime", "2", "--dim", "999")[:2] == (0, "measure = 1/1\n")
+    code, _, err = run(capsys, "measure", "--prime", "2", "--dim", "1000")
+    assert code == 1 and "dimension 1000 must be 1 to 999" in err
+
+
 def test_tile_balanced_exit_0(capsys):
     code, doc = run_json(
         capsys, "tile", "--prime", "3", "--scale", "1", "--range", "2"

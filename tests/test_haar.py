@@ -77,6 +77,14 @@ def test_cylinder_measure_law():
             assert cylinder_measure(c) == Fraction(1, p ** (2 * n))
 
 
+def test_cylinder_measure_bits_cap():
+    # depth * dimension * p.bit_length() may reach haar._MAX_BITS and no further
+    assert Cylinder(2, 2, (0, 0), 2048).measure() == Fraction(1, 2**4096)
+    for p, n, depth in [(2, 2, 2049), (2, 1, 4097), (3, 1, 20000), (2**61 - 1, 3, 45)]:
+        with pytest.raises(MaxPrecisionExceeded, match=f"above {haar._MAX_BITS}"):
+            Cylinder(p, n, (0,) * n, depth).measure()
+
+
 def test_children_partition_measure():
     c = Cylinder.unit_polydisc(3, 2)
     kids = list(c.children())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from padicorder import IntPolynomial, MultiPoly, ParseError
 from padicorder.cli import main
-from padicorder.parsing import parse_multipoly, parse_polynomial
+from padicorder.parsing import parse_matrix, parse_multipoly, parse_polynomial, parse_rational
 
 # two variables run together, a zero divisor, an index of 0, a sign after
 # an operator, a trailing operator, division by a variable
@@ -50,6 +50,17 @@ def test_large_variable_index_or_dimension_is_refused_at_once(deadline):
             with pytest.raises(ParseError):
                 parse_multipoly(text, nvars)
     assert parse_multipoly("x999").nvars == 999
+
+
+def test_rational_exponent_notation_is_refused_at_once(deadline, capsys):
+    with deadline(0.1):
+        for text in ("1e3000000", "1E3000000", "-2.5e-9", "1/1e3"):
+            with pytest.raises(ParseError, match="exponent"):
+                parse_rational(text)
+    assert parse_matrix("0.5,0;0,-1.5") == [[Fraction(1, 2), 0], [0, Fraction(-3, 2)]]
+    assert parse_rational(" -3/6 ") == Fraction(-1, 2) and parse_rational(".25") == Fraction(1, 4)
+    assert main(["order", "--matrix", "1e300000"]) == 1
+    assert "parse error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,14 @@
 """Projective order certification, conjugation operator, shell tiling."""
 
+import collections
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from padicorder import (
     AlgebraicNumberSpec,
@@ -17,12 +22,15 @@ from padicorder import (
     is_squarefree,
     linear_order,
     minimal_polynomial,
+    poly_gcd,
     projective_order,
     sphere_measure,
     verify_shell_tiling,
     verify_witness_certificate,
 )
+from padicorder import algnum, projaut
 from padicorder.projaut import (
+    OrderVerdict,
     identity_matrix,
     is_scalar_matrix,
     mat_det,
@@ -266,6 +274,122 @@ def test_projective_order_oracle_on_repeated_blocks():
             assert v.reason == "EigenvalueWitness"
             assert v.certificate.alpha.defining_poly == factor_out_cyclotomics(mp_n)[1]
     assert derogatory >= 50 and 50 <= finite <= 150
+
+
+def _annihilator(m, v):
+    """Minimal polynomial of m on the Krylov space of the column v."""
+    krylov = [v]
+    for _ in range(m.shape[0]):
+        krylov.append(m * krylov[-1])
+    rref, pivots = v.hstack(*krylov[1:]).rref()
+    k = len(pivots)
+    coeffs = [-row[k] for row in rref.to_list()[:k]] + [QQ(1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return IntPolynomial.from_coeffs([int(c * den) for c in coeffs]).primitive_part()
+
+
+def companion_projective_order(m):
+    """projective_order as it was decided on the d x d companion matrix C
+    of mp: N's minimal polynomial is the annihilator of e0 under C^n / det,
+    and the order is the least k <= n lcm(matched) with C^k e0 a constant."""
+    det = projaut._qq_matrix(m).det()
+    mp = projaut.minimal_polynomial(m)
+    if not is_squarefree(mp):
+        evidence = poly_gcd(mp, mp.derivative())
+        return OrderVerdict(kind="infinite", reason="NotSemisimple", jordan_evidence=evidence)
+    n, d = len(m), mp.degree
+    c = DomainMatrix(
+        [
+            [QQ(1 if i == j + 1 else 0) for j in range(d - 1)] + [QQ(-a, mp.leading)]
+            for i, a in enumerate(mp.coeffs[:-1])
+        ],
+        (d, d),
+        QQ,
+    )
+    e0 = DomainMatrix.eye(d, QQ)[:, 0]
+    matched, rem = factor_out_cyclotomics(_annihilator(c**n * (1 / det), e0))
+    if rem.coeffs == (1,):
+        v = e0
+        for order in range(1, n * math.lcm(*matched) + 1):
+            v = c * v
+            if v[1:, :].is_zero_matrix:
+                return OrderVerdict(kind="finite", order=order)
+        raise AssertionError("no scalar power below the bound")
+    cert = projaut.find_witness(AlgebraicNumberSpec.from_poly(rem, prove=True)).certificate
+    return OrderVerdict(
+        kind="infinite",
+        reason="EigenvalueWitness",
+        certificate=cert,
+        conditionality=cert.conditionality,
+    )
+
+
+def jordan_block(lam, size):
+    return F([[lam if i == j else int(j == i + 1) for j in range(size)] for i in range(size)])
+
+
+PARITY_POOL = [companion(cyclotomic(d)) for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)] + [
+    companion(IntPolynomial(f))
+    for f in ((-1, -1, 1), (1, -3, 1), (-1, -1, 0, 1), (-2, 0, 1), (-2, 0, 0, 1), (1, 0, 0, 1, 1))
+] + [
+    F([[0, -1], [1, Fraction(6, 5)]]),  # 5x^2 - 6x + 5's rational companion
+    F([[2]]),
+    F([[Fraction(-1, 2)]]),
+    jordan_block(1, 2),
+    jordan_block(Fraction(-3, 2), 3),
+]
+
+
+def parity_matrices(count, seed=20261019):
+    """Disguised companions, block sums with repeated blocks, rational
+    scalings, 1 x 1 and scalar matrices and Jordan blocks."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:  # 1 x 1 or scalar, possibly scaled
+            lam = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7]))
+            yield tuple(tuple(lam * x for x in row) for row in identity_matrix(rng.randint(1, 4)))
+            continue
+        blocks = [rng.choice(PARITY_POOL)]
+        while kind != 1 and rng.random() < 0.8:
+            b = rng.choice(blocks + blocks + PARITY_POOL)  # repeats make mp derogatory
+            if sum(map(len, blocks)) + len(b) <= 4:
+                blocks.append(b)
+        yield shear_disguise(block_diag(*blocks), rng)
+
+
+def shear_disguise(m, rng):
+    """lam * P * M * P^-1 for a seeded scalar lam and a product P of n
+    integer shears I + c E_ij, each applied as a row and a column step:
+    O(n^2) where disguise's Fraction products and inverse are O(n^3),
+    which keeps 1,000 disguises cheap."""
+    rows, n = [list(row) for row in m], len(m)
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] -= c * row[i]
+    lam = Fraction(rng.choice([1, -1, 2, 3, -5]), rng.choice([1, 2, 7]))
+    return tuple(tuple(lam * x for x in row) for row in rows)
+
+
+def test_projective_order_matches_companion_matrix_algorithm(monkeypatch):
+    # mp, the irreducibility proof and the witness search come before and
+    # after the step under test, shared and deterministic: memoized, each
+    # runs once per distinct input
+    shared = [(projaut, "minimal_polynomial"), (projaut, "find_witness"), (algnum, "check_irreducible")]
+    for module, name in shared:
+        monkeypatch.setattr(module, name, functools.cache(getattr(module, name)))
+    seen = collections.Counter()
+    for m in parity_matrices(1000):
+        v = projective_order(m)
+        assert v == companion_projective_order(m)
+        mp = projaut.minimal_polynomial(m)
+        seen[v.reason or "finite"] += 1
+        seen["derogatory"] += mp.degree < len(m)
+        seen["non-monic"] += abs(mp.leading) != 1
+    assert min(seen.values()) >= 75 and len(seen) == 5, seen
 
 
 def test_singular_matrix_raises():
