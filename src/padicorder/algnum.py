@@ -10,7 +10,7 @@ from .isolation import ComplexBox
 UNCHECKED = "Unchecked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraicNumberSpec:
     """An algebraic number: defining polynomial plus optional root selector.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from sympy import integer_nthroot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalInterval:
     lo: Fraction
     hi: Fraction

@@ -28,7 +28,7 @@ def _dense(f: IntPolynomial) -> list:
     return list(reversed(f.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     coeffs: tuple[int, ...]
 

@@ -44,7 +44,7 @@ MAX_SHRINK_STEPS = 64  # Krawczyk steps allowed per box when shrinking
 _GUARD_BITS = 8  # grid and inverse precision below a box's width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexBox:
     """An axis-aligned rational rectangle in the complex plane."""
 

@@ -42,7 +42,7 @@ def rational_valuation(r: Fraction, p: int):
     return padic_valuation(r.numerator, p) - padic_valuation(r.denominator, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPower:
     """An exact absolute value ``p^(-exponent)``.
 

@@ -69,7 +69,7 @@ def newton_polygon(f: IntPolynomial, p: int) -> NewtonPolygon:
     return NewtonPolygon(p, points, tuple(hull), segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Place:
     """A place of the field Q(alpha), pinned to computational data."""
 
@@ -80,7 +80,7 @@ class Place:
     root_box: ComplexBox | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessCertificate:
     """Machine-checkable evidence that |rho(alpha)| > 1 at a place.
 

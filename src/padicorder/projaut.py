@@ -3,21 +3,23 @@
 A class [M] in PGL_n has finite order iff M is semisimple and
 N = M^n / det M has finite order in GL_n.  The eigenvalues of N are
 mu_i = prod_j lambda_i / lambda_j, products of the eigenvalue ratios of
-M.  The minimal polynomial mp of M must be squarefree, and then the
-decision runs in Q[M] = Q[x]/(mp), on the sequence x^k mod mp of
-d = deg mp rationals, each from the last by a shift and a reduction.
-N is x^n / det M, so its minimal polynomial is the first linear relation
-among the x^(n j) / (det M)^j, and M^k is scalar iff x^k mod mp is a
-constant; no matrix is formed after mp.  Infinite order comes with a
-re-checkable reason: a repeated factor of mp (non-semisimplicity), or a
-local-field witness that some eigenvalue of N lies off the unit circle.
+M.  The decision runs on Python integers: M = A / D, with D the lcm of
+M's denominators and A an integer matrix, so N = A^n / det A and M^k is
+scalar iff A^k is.  mp = prim(mp_A(D x)) must be squarefree (prim
+clears content and sign), and then the decision runs in Q[x]/(mp_A) on
+x^k mod mp_A, d = deg mp integers (mp_A is monic), each from the last by
+a shift and a subtraction.  N's minimal polynomial is prim(R(det A x))
+for R the first linear relation among the x^(n j), and M^k is scalar iff
+x^k mod mp_A is a constant.  Infinite order comes with a re-checkable
+reason: a repeated factor of mp (non-semisimplicity), or a local-field
+witness that some eigenvalue of N lies off the unit circle.
 
-Determinants, inverses, M's Krylov products and the echelon forms that
-find linear relations run on sympy's DomainMatrix over QQ.  No decision
-calls the Fraction helpers identity_matrix, mat_mul, mat_pow, mat_inv,
-mat_det, is_scalar_matrix, kron and transpose, nor conjugation_operator
-or linear_order: the tests use them as independent references, and
-bench/bench_trace.py wraps the last two by name.
+A's determinant and Krylov products and the fraction-free echelon forms
+that find linear relations run on sympy's DomainMatrix over ZZ.  No
+decision calls the Fraction helpers identity_matrix, mat_mul, mat_pow,
+mat_inv, mat_det, is_scalar_matrix, kron and transpose, nor
+conjugation_operator or linear_order: the tests use them as independent
+references, and bench/bench_trace.py wraps the last two by name.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
@@ -141,43 +143,56 @@ def conjugation_operator(m: Matrix) -> Matrix:
 # --- minimal polynomials ----------------------------------------------------
 
 
+def _integer_matrix(rows) -> tuple[DomainMatrix, int]:
+    """M = A / D: A over ZZ, D the lcm of M's denominators."""
+    m = as_matrix(rows)
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    entries = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    return DomainMatrix(entries, (len(m), len(m)), ZZ), den
+
+
+def _substitute(f: IntPolynomial, c: Fraction | int) -> IntPolynomial:
+    """prim(f(c x)) for a nonzero rational c."""
+    a, b, d = c.numerator, c.denominator, f.degree
+    coeffs = tuple(f_i * a**i * b ** (d - i) for i, f_i in enumerate(f.coeffs))
+    return IntPolynomial(coeffs).primitive_part()
+
+
 def _first_relation(columns: DomainMatrix) -> IntPolynomial:
-    """The first relation sum a_i c_i = 0 among Krylov columns c_0, c_1, ...
-    as a primitive integer polynomial sum a_i x^i: the reduced echelon form
-    has pivots 0..k-1, and column k holds c_k in terms of the earlier c_i."""
-    rref, pivots = columns.rref()
+    """The first relation sum a_i c_i = 0 among integer Krylov columns c_0, c_1, ...
+    as a primitive integer polynomial sum a_i x^i: the fraction-free echelon form,
+    den times the reduced one, has pivots 0..k-1 and column k holds den c_k."""
+    rref, den, pivots = columns.rref_den(method="FF")
     k = len(pivots)
-    coeffs = [-row[k] for row in rref.to_list()[:k]] + [QQ(1)]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return IntPolynomial.from_coeffs([int(c * den) for c in coeffs]).primitive_part()
+    coeffs = [-row[k] for row in rref.to_list()[:k]] + [den]
+    return IntPolynomial.from_coeffs(coeffs).primitive_part()
 
 
 def minimal_polynomial(m) -> IntPolynomial:
-    """Exact minimal polynomial of a rational matrix, cleared to a
-    primitive integer polynomial."""
-    m = _qq_matrix(m)
-    n = m.shape[0]
-    eye = DomainMatrix.eye(n, QQ)
+    """Exact minimal polynomial of a rational matrix M = A / D as the
+    primitive integer polynomial prim(mp_A(D x)), mp_A from A's Krylov relations."""
+    a, den = _integer_matrix(m)
+    n = a.shape[0]
+    eye = DomainMatrix.eye(n, ZZ)
     result = IntPolynomial.from_coeffs([1])
     for i in range(n):
         krylov = [eye[:, i]]
         for _ in range(n):
-            krylov.append(m * krylov[-1])
+            krylov.append(a * krylov[-1])
         ann = _first_relation(krylov[0].hstack(*krylov[1:]))
         result = (result * ann).exact_div(poly_gcd(result, ann)).primitive_part()
         if result.degree == n:
             break
-    return result
+    return _substitute(result, den)
 
 
 def _powers_of_x(mp: IntPolynomial):
-    """x^k mod mp for k = 0, 1, ..., as deg mp rationals, lowest first."""
-    *low, lead = mp.coeffs
-    tail = [QQ(-a, lead) for a in low]  # x^d = sum tail_i x^i mod mp
-    v = [QQ(1)] + [QQ(0)] * (len(low) - 1)
+    """x^k mod a monic mp for k = 0, 1, ..., as deg mp integers, lowest first."""
+    low = mp.coeffs[:-1]
+    v = [1] + [0] * (len(low) - 1)
     while True:
         yield v
-        v = [c + v[-1] * t for c, t in zip([QQ(0)] + v[:-1], tail)]
+        v = [c - v[-1] * a for c, a in zip([0] + v[:-1], low)]
 
 
 def linear_order(m):
@@ -209,8 +224,8 @@ class OrderVerdict:
 
 def projective_order(m) -> OrderVerdict:
     """Finite/infinite order of the class of M in PGL, with certificate."""
-    qm = _qq_matrix(m)
-    det = qm.det()
+    a, den = _integer_matrix(m)
+    det = int(a.det())
     if det == 0:
         raise ValueError("matrix is singular")
     mp = minimal_polynomial(m)
@@ -219,16 +234,16 @@ def projective_order(m) -> OrderVerdict:
         return OrderVerdict(
             kind="infinite", reason=NOT_SEMISIMPLE, jordan_evidence=evidence
         )
-    # in Q[M] = Q[x]/(mp), N is x^n / det: its minimal polynomial is the
-    # first relation among the x^(n j) / det^j, j = 0..d
-    n, d = qm.shape[0], mp.degree
-    powers = _powers_of_x(mp)
+    # in Q[A] = Q[x]/(mp_A), N = A^n / det A is x^n / det A: its minimal
+    # polynomial is prim(R(det A x)), R the first relation among the x^(n j)
+    n, d = a.shape[0], mp.degree
+    powers = _powers_of_x(_substitute(mp, Fraction(1, den)))
     seq = list(islice(powers, n * d + 1))
-    krylov = DomainMatrix([[c / det**j for c in v] for j, v in enumerate(seq[::n])], (d + 1, d), QQ)
-    matched, rem = factor_out_cyclotomics(_first_relation(krylov.transpose()))
+    krylov = DomainMatrix(seq[::n], (d + 1, d), ZZ).transpose()
+    matched, rem = factor_out_cyclotomics(_substitute(_first_relation(krylov), det))
     if rem.coeffs == (1,):
         # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k;
-        # M^k is scalar iff x^k mod mp is a constant
+        # M^k is scalar iff A^k is, iff x^k mod mp_A is a constant
         checked = islice(enumerate(chain(seq, powers)), 1, n * math.lcm(*matched) + 1)
         return OrderVerdict(kind="finite", order=next(k for k, v in checked if not any(v[1:])))
     result = find_witness(AlgebraicNumberSpec.from_poly(rem, prove=True))

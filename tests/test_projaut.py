@@ -358,11 +358,10 @@ def parity_matrices(count, seed=20261019):
         yield shear_disguise(block_diag(*blocks), rng)
 
 
-def shear_disguise(m, rng):
-    """lam * P * M * P^-1 for a seeded scalar lam and a product P of n
-    integer shears I + c E_ij, each applied as a row and a column step:
-    O(n^2) where disguise's Fraction products and inverse are O(n^3),
-    which keeps 1,000 disguises cheap."""
+def shear_conjugate(m, rng):
+    """P * M * P^-1 for a product P of n integer shears I + c E_ij, each
+    applied as a row and a column step: O(n^2) where disguise's Fraction
+    products and inverse are O(n^3), which keeps 1,000 disguises cheap."""
     rows, n = [list(row) for row in m], len(m)
     for _ in range(n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
@@ -370,6 +369,12 @@ def shear_disguise(m, rng):
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         for row in rows:
             row[j] -= c * row[i]
+    return rows
+
+
+def shear_disguise(m, rng):
+    """lam * P * M * P^-1 for a seeded scalar lam and shear_conjugate's P."""
+    rows = shear_conjugate(m, rng)
     lam = Fraction(rng.choice([1, -1, 2, 3, -5]), rng.choice([1, 2, 7]))
     return tuple(tuple(lam * x for x in row) for row in rows)
 
@@ -390,6 +395,82 @@ def test_projective_order_matches_companion_matrix_algorithm(monkeypatch):
         seen["derogatory"] += mp.degree < len(m)
         seen["non-monic"] += abs(mp.leading) != 1
     assert min(seen.values()) >= 75 and len(seen) == 5, seen
+
+
+SCALED_POOL = [companion(cyclotomic(d)) for d in (1, 2, 3, 4, 5, 6, 8)] + [
+    companion(IntPolynomial(f)) for f in ((-1, -1, 1), (-2, 0, 1), (-1, -1, 0, 1))
+] + [jordan_block(1, 2), jordan_block(-2, 2), jordan_block(3, 3), F([[2]]), F([[-1]])]
+SCALED_DENOMINATORS = (1, 7, 2**20, 10**12 + 39)
+
+
+def scaled_matrices(count, seed=20261020):
+    """a/q * P * B * P^-1 for q in SCALED_DENOMINATORS, B a block sum of
+    integer companions, Jordan blocks and 1 x 1 blocks (repeats make B
+    derogatory) or a scalar matrix, P a product of integer shears."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 5 == 0:
+            blocks = [identity_matrix(rng.randint(1, 4))]
+        else:
+            blocks = [rng.choice(SCALED_POOL)]
+            while rng.random() < 0.7:
+                b = rng.choice(blocks + SCALED_POOL)
+                if sum(map(len, blocks)) + len(b) <= 4:
+                    blocks.append(b)
+        rows = shear_conjugate(block_diag(*blocks), rng)
+        den = rng.choice(SCALED_DENOMINATORS)
+        lam = Fraction(rng.choice([1, -1, 3, -5, 2**20 + 1]), den)
+        yield den, tuple(tuple(lam * x for x in row) for row in rows)
+
+
+def test_minimal_polynomial_of_scaled_matrices():
+    # M = A / D is decided on the integer matrix A: mp(M) must vanish at M
+    # and no proper divisor mp / g, g an irreducible factor, may
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    seen = collections.Counter()
+    for den, m in scaled_matrices(500):
+        n = len(m)
+        zero = F([[0] * n] * n)
+        mp = minimal_polynomial(m)
+        assert _evaluate(mp.coeffs, m) == zero
+        poly = Poly(list(reversed(mp.coeffs)), x)
+        for g, _ in poly.factor_list()[1]:
+            proper = [Fraction(int(c)) for c in reversed(poly.exquo(g).all_coeffs())]
+            assert _evaluate(proper, m) != zero
+        seen[den] += 1
+        seen["derogatory"] += mp.degree < n
+        seen["scalar"] += is_scalar_matrix(m)
+        seen["1x1"] += n == 1
+        seen["non-semisimple"] += not is_squarefree(mp)
+    assert min(seen.values()) >= 40 and len(seen) == 8, seen
+
+
+def test_scaled_jordan_block_evidence():
+    # the evidence is gcd(mp_M, mp_M'), for M = 5/7 [[1, 1], [0, 1]] the
+    # factor 7x - 5; read off A = [[5, 5], [0, 5]] it would be x - 5
+    v = projective_order(F([[Fraction(5, 7), Fraction(5, 7)], [0, Fraction(5, 7)]]))
+    assert v.reason == "NotSemisimple"
+    assert v.jordan_evidence.coeffs == (-5, 7)
+
+
+def test_projective_order_runs_without_rational_echelon_forms(monkeypatch):
+    # the decision is fraction-free: no echelon form over QQ, no matrix
+    # converted to a field
+    cases = [
+        (disguise(companion(cyclotomic(12)), 0), 6),
+        (disguise(block_diag(companion(cyclotomic(3)), companion(cyclotomic(3))), 1), 3),
+        (disguise(companion(IntPolynomial((-1, -1, 0, 1))), 2), None),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational arithmetic in projective_order")
+
+    monkeypatch.setattr(DomainMatrix, "rref", refuse)
+    monkeypatch.setattr(DomainMatrix, "to_field", refuse)
+    for m, order in cases:
+        assert projective_order(m).order == order
 
 
 def test_singular_matrix_raises():
