@@ -3,13 +3,14 @@
 Approximate, then certify (Krawczyk 1969; Rump, "Verification methods",
 Acta Numerica 2010):
 
-- Approximate: at 53 bits an Aberth-Ehrlich iteration in Python complex
-  doubles proposes all n roots; mpmath.polyroots takes over when it
-  overflows or does not settle, and at every doubling of the working
-  precision, up to MAX_PRECISION_BITS, after a check below fails.
-- Candidate boxes: a dyadic box of radius max(4n|f/f'|, 2^(-prec/2))
-  goes around each approximation; it is a real box, with imaginary part
-  [0, 0], when the approximation lies within that radius of the real axis.
+- Approximate: the Aberth-Ehrlich iteration proposes all n roots, in
+  Python complex doubles at 53 bits, and on mpf coefficients at twice
+  the working precision when that overflows or does not settle, and at
+  every doubling up to MAX_PRECISION_BITS after a check below fails.
+- Candidate boxes: a dyadic box of radius 2^e, e least with
+  max(4n|f(z)/f'(z)|, 2^(-prec/2)) < 2^e in exact arithmetic, goes around
+  each proposal z; it is a real box, with imaginary part [0, 0], when z
+  lies within 2^e of the real axis.
 - Certify: the set is accepted only when the n boxes are pairwise
   disjoint and every box X passes isolates_one_root, the strict test
   K(X) ⊂ int X that verify_witness_certificate applies, with
@@ -31,6 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 
@@ -196,10 +198,11 @@ def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     return x[2] < k[2] <= k[3] < x[3]
 
 
-def _aberth(coeffs) -> list[complex]:
+def _aberth(coeffs, tol) -> list:
     """The n roots of c_0 + ... + c_n x^n by the Aberth-Ehrlich iteration
-    in complex doubles (Bini, Numer. Algorithms 13, 1996); ArithmeticError
-    when a value overflows or the roots do not settle."""
+    (Bini, Numer. Algorithms 13, 1996): in complex doubles on int c_k, in
+    mpmath numbers on mpf ones, to corrections of at most tol relative;
+    ArithmeticError when a value overflows or the roots do not settle."""
     n, a = len(coeffs) - 1, [c / coeffs[-1] for c in coeffs]
     r = max(abs(c) ** (1 / (n - k)) for k, c in enumerate(a[:-1]))
     zs = [r * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
@@ -212,56 +215,53 @@ def _aberth(coeffs) -> list[complex]:
             newton = p / dp
             w = newton / (1 - newton * sum(1 / (z - y) for j, y in enumerate(zs) if j != i))
             zs[i] = z - w
-            settled = settled and abs(w) <= 2**-50 * abs(z)
+            settled = settled and abs(w) <= tol * abs(z)
         if settled:
             return zs
     raise ArithmeticError("the Aberth iteration did not settle")
 
 
-def _to_grid(v, g: int) -> Fraction:
-    """The multiple of 2**g nearest to the mpf v."""
-    return int(mpmath.nint(mpmath.ldexp(v, -g))) * Fraction(2) ** g
+def _exact(v) -> Fraction:
+    """A finite float or mpf as a Fraction; ValueError otherwise."""
+    if not mpmath.isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    man, exp = mpmath.mpf(v).man_exp
+    return (-man if v < 0 else man) * Fraction(2) ** exp
+
+
+def _proposals(coeffs, tol):
+    """_aberth's roots as exact (re, im) pairs, or [] when it fails."""
+    try:
+        return [(_exact(z.real), _exact(z.imag)) for z in _aberth(coeffs, tol)]
+    except (ArithmeticError, ValueError):  # an overflow, no settling, a non-finite root
+        return []
 
 
 def _candidates(f: IntPolynomial, prec: int):
-    """Dyadic boxes around approximations of the roots of f at prec bits,
-    or None when the approximation step fails.  At 53 bits _aberth
-    proposes in complex doubles; mpmath.polyroots serves when that fails
-    and above 53 bits."""
-    n = f.degree
-    coeffs = f.coeffs[::-1]
-    try:
-        roots = _aberth(f.coeffs) if prec == 53 else None
-    except ArithmeticError:  # an overflow, or the roots did not settle
-        roots = None
-    with mpmath.workprec(prec):
-        if roots is None or not all(map(cmath.isfinite, roots)):
-            # polyroots starts near the unit circle, where the roots of f(2^s y)
-            # lie, and meets its own tolerance on close roots only with extra bits
-            b = [abs(c).bit_length() for c in f.coeffs]
-            s = max([(b[k] - b[n]) // (n - k) for k in range(n) if b[k]] or [0])
-            scaled = [mpmath.ldexp(c, s * (n - i)) for i, c in enumerate(coeffs)]
-            try:
-                ys = mpmath.polyroots(scaled, maxsteps=50 + 10 * n, extraprec=prec)
-            except mpmath.mp.NoConvergence:
-                return None
-            roots = [mpmath.mpc(y) * mpmath.ldexp(1, s) for y in ys]
-        rects = []
-        for z in roots:
-            z = mpmath.mpc(z)
-            v, dv = mpmath.polyval(coeffs, z, derivative=True)
-            if dv == 0:
-                return None
-            r = max(4 * n * abs(v / dv), mpmath.ldexp(1, -(prec // 2)))
-            e = mpmath.frexp(r)[1]  # r <= 2**e
-            radius = Fraction(2) ** e
-            re = _to_grid(z.real, e - 2 * _GUARD_BITS)
-            if abs(z.imag) <= mpmath.ldexp(1, e):
-                im = (Fraction(0), Fraction(0))
-            else:
-                c = _to_grid(z.imag, e - 2 * _GUARD_BITS)
-                im = (c - radius, c + radius)
-            rects.append((re - radius, re + radius) + im)
+    """Dyadic boxes around _aberth's roots of f at prec bits, or [] when it
+    fails: in complex doubles at 53 bits, and on mpf coefficients at
+    2 prec bits when that fails and above 53 bits."""
+    n, df = f.degree, f.derivative()
+    roots = _proposals(f.coeffs, 2**-50) if prec == 53 else []
+    if not roots:
+        with mpmath.workprec(2 * prec):
+            roots = _proposals([mpmath.mpf(c) for c in f.coeffs], mpmath.mpf(2) ** -prec)
+    rects = []
+    for re, im in roots:
+        z = _rect(re, re, im, im)
+        fr, _, fi, _ = _eval_rect(f.coeffs, z)  # f(z) = (fr + i fi) / d^n
+        dr, _, di, _ = _eval_rect(df.coeffs, z)  # f'(z) = (dr + i di) / d^(n-1)
+        num, den = 16 * n * n * (fr * fr + fi * fi), (dr * dr + di * di) * z[4] ** 2
+        if not den:
+            return []
+        # the least e with (4n|f/f'|)^2 = num / den < 4^e and 2^(-prec/2) < 2^e
+        e = max(1 - prec // 2, (num.bit_length() - den.bit_length()) // 2 - 1 if num else -prec)
+        while num >= den * Fraction(4) ** e:
+            e += 1
+        radius, grid = Fraction(2) ** e, Fraction(2) ** (e - 2 * _GUARD_BITS)
+        re, c = round(re / grid) * grid, round(im / grid) * grid
+        im = (Fraction(0),) * 2 if abs(im) <= radius else (c - radius, c + radius)
+        rects.append((re - radius, re + radius) + im)
     return rects
 
 
@@ -270,12 +270,10 @@ def _certified_rects(f: IntPolynomial):
     prec = 53
     while prec <= MAX_PRECISION_BITS:
         rects = _candidates(f, prec)
-        if rects is not None:
-            boxes = [_box(_rect(*x)) for x in rects]
-            if all(
-                not a.overlaps(b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
-            ) and all(isolates_one_root(f, b) for b in boxes):
-                return rects
+        boxes = [_box(_rect(*x)) for x in rects]
+        disjoint = all(not a.overlaps(b) for a, b in combinations(boxes, 2))
+        if len(boxes) == f.degree and disjoint and all(isolates_one_root(f, b) for b in boxes):
+            return rects
         prec *= 2
     raise MaxPrecisionExceeded(
         f"roots of {f} not certified at {MAX_PRECISION_BITS} bits of precision"

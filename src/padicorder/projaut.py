@@ -173,7 +173,7 @@ def minimal_polynomial(m) -> IntPolynomial:
     primitive integer polynomial prim(mp_A(D x)), mp_A from A's Krylov relations."""
     a, den = _integer_matrix(m)
     n = a.shape[0]
-    eye = DomainMatrix.eye(n, ZZ)
+    eye = DomainMatrix.eye(n, ZZ).to_dense()  # dense like A, so products need no unify
     result = IntPolynomial.from_coeffs([1])
     for i in range(n):
         krylov = [eye[:, i]]

@@ -183,24 +183,25 @@ def test_certification_rejects_bad_candidates(monkeypatch, coeffs, tamper):
         isolate_roots(IntPolynomial(coeffs), EPS)
 
 
-def test_double_overflow_isolates_through_mpmath():
-    # 10^400 overflows a double: the Aberth proposer gives up, mpmath proposes
+def test_double_overflow_isolates_on_mpf_coefficients():
+    # 10^400 overflows a double: the complex-double Aberth run gives up,
+    # and the same iteration proposes on mpf coefficients
     f = IntPolynomial((-(10**400), 0, 1))
     with pytest.raises(ArithmeticError):
-        isolation._aberth(f.coeffs)
+        isolation._aberth(f.coeffs, 2**-50)
     boxes = isolate_roots(f, EPS)
     assert len(boxes) == 2 and all(isolation.isolates_one_root(f, b) for b in boxes)
     assert sorted(b.real.lo < 10**200 < b.real.hi for b in boxes) == [False, True]
 
 
-def test_wilkinson_isolates_through_mpmath():
-    # doubles do not settle on (x - 1)(x - 2)...(x - 12), and mpmath
-    # converges on it only with extra working precision
+def test_wilkinson_isolates_on_mpf_coefficients():
+    # doubles do not settle on (x - 1)(x - 2)...(x - 12); mpf numbers at
+    # twice the precision do
     f = IntPolynomial((1,))
     for k in range(1, 13):
         f = f * IntPolynomial((-k, 1))
     with pytest.raises(ArithmeticError):
-        isolation._aberth(f.coeffs)
+        isolation._aberth(f.coeffs, 2**-50)
     boxes = isolate_roots(f, EPS)
     assert all(b.real.contains(k) and b.imag.contains(0) for k, b in zip(range(1, 13), boxes))
     assert len(boxes) == 12
@@ -209,20 +210,28 @@ def test_wilkinson_isolates_through_mpmath():
 HONEST_ABERTH = isolation._aberth
 
 
-def _nan_roots(coeffs):
+def _nan_roots(coeffs, tol):
     return [complex("nan+nanj")] * (len(coeffs) - 1)
 
 
-def _shifted_roots(coeffs):
-    return [z + 1 / 3 for z in HONEST_ABERTH(coeffs)]
+def _shifted_roots(coeffs, tol):
+    return [z + 1 / 3 for z in HONEST_ABERTH(coeffs, tol)]
+
+
+def _no_settling(coeffs, tol):
+    raise ArithmeticError("the Aberth iteration did not settle")
 
 
 @pytest.mark.parametrize("proposer", [_nan_roots, _shifted_roots])
 @pytest.mark.parametrize("f", [LEHMER, close_pair(10, 50), cyclotomic(15)], ids=str)
 def test_bad_double_proposals_never_pass(monkeypatch, proposer, f):
-    """Whatever the double proposer returns, every box isolate_roots hands
-    back passes the strict Krawczyk test, or it raises."""
-    monkeypatch.setattr(isolation, "_aberth", proposer)
+    """Whatever the complex-double run proposes, every box isolate_roots
+    hands back passes the strict Krawczyk test, or it raises."""
+
+    def aberth(coeffs, tol):  # the complex-double run gets integer coefficients
+        return (proposer if type(coeffs[0]) is int else HONEST_ABERTH)(coeffs, tol)
+
+    monkeypatch.setattr(isolation, "_aberth", aberth)
     try:
         boxes = isolate_roots(f, EPS)
     except MaxPrecisionExceeded:
@@ -230,12 +239,10 @@ def test_bad_double_proposals_never_pass(monkeypatch, proposer, f):
     assert len(boxes) == f.degree and all(isolation.isolates_one_root(f, b) for b in boxes)
 
 
-def test_polyroots_failure_is_a_failed_attempt(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise mpmath.mp.NoConvergence("did not converge")
-
-    monkeypatch.setattr(isolation, "_aberth", _nan_roots)
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+@pytest.mark.parametrize("proposer", [_nan_roots, _no_settling])
+def test_proposer_failure_at_every_precision_raises_typed_error(monkeypatch, proposer):
+    monkeypatch.setattr(isolation, "_aberth", proposer)
+    assert isolation._candidates(LEHMER, 53) == []
     with pytest.raises(MaxPrecisionExceeded):
         isolate_roots(LEHMER, EPS)
 
@@ -265,6 +272,87 @@ def seeded_squarefree(count=60, seed=20261018):
 
 
 ORACLE_POLYS = seeded_squarefree() + [LEHMER, cyclotomic(15)]
+
+
+def criterion_7_draws():
+    """The 500 polynomials of tests/test_acceptance.py's criterion 7, drawn alike."""
+    rng = random.Random(20260823)
+    out = []
+    while len(out) < 500:
+        if len(out) % 25 == 0:
+            out.append(cyclotomic(rng.choice([1, 2, 3, 4, 5, 6, 8, 12])))
+            continue
+        deg = rng.randint(1, 6)
+        coeffs = [rng.randint(-20, 20) for _ in range(deg + 1)]
+        if len(out) % 3 == 0:
+            coeffs[-1] = rng.choice([1, -1])
+        if coeffs[-1] == 0 or coeffs[0] == 0:
+            continue
+        f = IntPolynomial.from_coeffs(coeffs).primitive_part()
+        if is_squarefree(f):
+            out.append(f)
+    return out
+
+
+def oracle_candidates(f):
+    """isolation._candidates at 53 bits as it sized boxes before exact
+    sizing: mpmath's polyval, frexp and nint at 53 bits around the
+    complex-double proposals.  The reference the exact sizing must equal."""
+    n, coeffs = f.degree, f.coeffs[::-1]
+
+    def to_grid(v, g):
+        return int(mpmath.nint(mpmath.ldexp(v, -g))) * Fraction(2) ** g
+
+    rects = []
+    with mpmath.workprec(53):
+        for z in isolation._aberth(f.coeffs, 2**-50):
+            z = mpmath.mpc(z)
+            v, dv = mpmath.polyval(coeffs, z, derivative=True)
+            r = max(4 * n * abs(v / dv), mpmath.ldexp(1, -26))
+            e = mpmath.frexp(r)[1]  # r <= 2**e
+            radius = Fraction(2) ** e
+            re = to_grid(z.real, e - 2 * isolation._GUARD_BITS)
+            if abs(z.imag) <= mpmath.ldexp(1, e):
+                im = (Fraction(0), Fraction(0))
+            else:
+                c = to_grid(z.imag, e - 2 * isolation._GUARD_BITS)
+                im = (c - radius, c + radius)
+            rects.append((re - radius, re + radius) + im)
+    return rects
+
+
+def test_exact_sizing_equals_mpmath_sizing():
+    compared = 0
+    for f in ORACLE_POLYS + criterion_7_draws():
+        try:
+            expect = oracle_candidates(f)
+        except ArithmeticError:  # doubles do not settle; the mpf run proposes
+            continue
+        assert isolation._candidates(f, 53) == expect, f
+        compared += 1
+    assert compared > 550
+
+
+def test_exact_sizing_takes_least_power_of_two():
+    """Where 4n|f/f'| exceeds 2^-26, which needs roots of about 10^8 and
+    more, the mpmath oracle rounds f(z) and may pick another power of 2;
+    here the radius is checked against Fraction values at the proposal."""
+    rng = random.Random(3)
+    dominated = 0
+    for _ in range(200):
+        deg, s = rng.randint(1, 5), 10 ** rng.randint(6, 12)
+        f = IntPolynomial(tuple(rng.randint(-20, 20) * s ** (deg - i) for i in range(deg)) + (1,))
+        roots = isolation._proposals(f.coeffs, 2**-50)
+        if not is_squarefree(f) or not roots:
+            continue
+        for (re, im), x in zip(roots, isolation._candidates(f, 53)):
+            fr, fi = _oracle_eval_point(f.coeffs, re, im)
+            dr, di = _oracle_eval_point(f.derivative().coeffs, re, im)
+            r2 = max(16 * deg * deg * (fr * fr + fi * fi) / (dr * dr + di * di), Fraction(1, 4**26))
+            radius = (x[1] - x[0]) / 2
+            assert radius**2 / 4 <= r2 < radius**2, (f, re, im)
+            dominated += r2 > Fraction(1, 4**26)
+    assert dominated > 100
 
 
 @pytest.fixture(scope="module")
