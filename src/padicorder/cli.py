@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .algnum import AlgebraicNumberSpec
@@ -104,6 +105,11 @@ def cmd_order(args) -> int:
     return 0 if verdict.is_finite else 2
 
 
+def _approx(x: Fraction) -> str:
+    """x to 7 significant digits, also past the largest float."""
+    return f"{Decimal(x.numerator) / x.denominator:.7g}"
+
+
 def cmd_witness(args) -> int:
     f = parsing.parse_polynomial(args.poly)
     status = check_irreducible(f)
@@ -126,7 +132,7 @@ def cmd_witness(args) -> int:
         f"witness place: {cert.place.kind}"
         + (f" p={cert.place.prime}, slope={cert.place.slope}" if cert.place.prime else ""),
         f"norm bound: |alpha| >= {_frac_str(cert.norm_bound)}"
-        f" (modulus in [{float(mi.lo):.6f}, {float(mi.hi):.6f}] approximate)",
+        f" (modulus in [{_approx(mi.lo)}, {_approx(mi.hi)}] approximate)",
         f"conditionality: {cert.conditionality}",
     ]
     _emit(doc, args.json, lines)

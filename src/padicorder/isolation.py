@@ -21,6 +21,9 @@ Acta Numerica 2010):
   rounded outward to dyadics.  The root is a fixed point of the Krawczyk
   map, so it stays inside; the sequence of boxes does not depend on eps,
   so the boxes for eps/2 nest in the boxes for eps.
+- One root: isolate_outermost runs the doubles step once, sizes the box
+  around the proposal of largest modulus, tests and shrinks it alone,
+  and returns None where isolate_roots would raise or retry.
 
 Floats and multiprecision numbers only propose candidates; every
 decision is an exact comparison.
@@ -237,32 +240,36 @@ def _proposals(coeffs, tol):
         return []
 
 
+def _sized(f: IntPolynomial, df: IntPolynomial, re: Fraction, im: Fraction, prec: int):
+    """The dyadic rectangle around the proposal re + i im at prec bits, or
+    None when f'(re + i im) = 0."""
+    n, z = f.degree, _rect(re, re, im, im)
+    fr, _, fi, _ = _eval_rect(f.coeffs, z)  # f(z) = (fr + i fi) / d^n
+    dr, _, di, _ = _eval_rect(df.coeffs, z)  # f'(z) = (dr + i di) / d^(n-1)
+    num, den = 16 * n * n * (fr * fr + fi * fi), (dr * dr + di * di) * z[4] ** 2
+    if not den:
+        return None
+    # the least e with (4n|f/f'|)^2 = num / den < 4^e and 2^(-prec/2) < 2^e
+    e = max(1 - prec // 2, (num.bit_length() - den.bit_length()) // 2 - 1 if num else -prec)
+    while num >= den * Fraction(4) ** e:
+        e += 1
+    radius, grid = Fraction(2) ** e, Fraction(2) ** (e - 2 * _GUARD_BITS)
+    re, c = round(re / grid) * grid, round(im / grid) * grid
+    im = (Fraction(0),) * 2 if abs(im) <= radius else (c - radius, c + radius)
+    return (re - radius, re + radius) + im
+
+
 def _candidates(f: IntPolynomial, prec: int):
     """Dyadic boxes around _aberth's roots of f at prec bits, or [] when it
     fails: in complex doubles at 53 bits, and on mpf coefficients at
     2 prec bits when that fails and above 53 bits."""
-    n, df = f.degree, f.derivative()
+    df = f.derivative()
     roots = _proposals(f.coeffs, 2**-50) if prec == 53 else []
     if not roots:
         with mpmath.workprec(2 * prec):
             roots = _proposals([mpmath.mpf(c) for c in f.coeffs], mpmath.mpf(2) ** -prec)
-    rects = []
-    for re, im in roots:
-        z = _rect(re, re, im, im)
-        fr, _, fi, _ = _eval_rect(f.coeffs, z)  # f(z) = (fr + i fi) / d^n
-        dr, _, di, _ = _eval_rect(df.coeffs, z)  # f'(z) = (dr + i di) / d^(n-1)
-        num, den = 16 * n * n * (fr * fr + fi * fi), (dr * dr + di * di) * z[4] ** 2
-        if not den:
-            return []
-        # the least e with (4n|f/f'|)^2 = num / den < 4^e and 2^(-prec/2) < 2^e
-        e = max(1 - prec // 2, (num.bit_length() - den.bit_length()) // 2 - 1 if num else -prec)
-        while num >= den * Fraction(4) ** e:
-            e += 1
-        radius, grid = Fraction(2) ** e, Fraction(2) ** (e - 2 * _GUARD_BITS)
-        re, c = round(re / grid) * grid, round(im / grid) * grid
-        im = (Fraction(0),) * 2 if abs(im) <= radius else (c - radius, c + radius)
-        rects.append((re - radius, re + radius) + im)
-    return rects
+    rects = [_sized(f, df, re, im, prec) for re, im in roots]
+    return [] if None in rects else rects
 
 
 def _certified_rects(f: IntPolynomial):
@@ -326,3 +333,17 @@ def isolate_roots(f: IntPolynomial, eps) -> list[ComplexBox]:
     return sorted(
         boxes, key=lambda b: (b.real.lo, b.imag.lo, b.real.hi, b.imag.hi)
     )
+
+
+def isolate_outermost(f: IntPolynomial, eps) -> ComplexBox | None:
+    """A box of width at most eps around _aberth's proposal of largest
+    modulus in complex doubles, proven to hold exactly one root of a
+    squarefree f; None where isolate_roots would retry or raise."""
+    roots, df = _proposals(f.coeffs, 2**-50), f.derivative()
+    x = _sized(f, df, *max(roots, key=lambda z: z[0] ** 2 + z[1] ** 2), 53) if roots else None
+    if x is None or not isolates_one_root(f, _box(_rect(*x))):
+        return None
+    try:
+        return _shrink(f, df, x, Fraction(eps))
+    except MaxPrecisionExceeded:
+        return None

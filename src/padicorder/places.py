@@ -30,7 +30,8 @@ from .intpoly import (
     is_squarefree,
     root_of_unity_order,
 )
-from .isolation import MAX_FALLBACK_DEGREE, ComplexBox, isolate_roots, isolates_one_root
+from .isolation import MAX_FALLBACK_DEGREE, ComplexBox, isolates_one_root
+from .isolation import isolate_outermost, isolate_roots
 from .padic import PPower, padic_valuation
 
 UNCONDITIONAL = "Unconditional"
@@ -157,20 +158,27 @@ def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
 
 
 def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
-    """Isolate the roots once and return the first box that certifies
-    modulus > 1 by exact comparison of |box|^2 bounds against 1.
+    """Certify a root of modulus > 1 by exact comparison of |box|^2 bounds
+    against 1: the outermost root alone, by isolate_outermost, or else the
+    first such box of one isolate_roots call.
 
     The width eps = (h - 1)/2, with 1 < h <= 2^(1/(4n)), suffices: by
     Dimitrov's proof of the Schinzel-Zassenhaus conjecture (2019), a
     nonzero algebraic integer of degree d <= n that is not a root of
-    unity has a conjugate z with |z| >= 2^(1/(4d)) >= h, and every point
-    of a box of width eps around z has modulus >= h - sqrt(2)*eps > 1.
-    isolate_roots raises NotSquarefree for a repeated factor.
+    unity has a conjugate z with |z| >= 2^(1/(4d)) >= h, so the outermost
+    root is one, and every point of a box of width eps around it has
+    modulus >= h - sqrt(2)*eps > 1.  Raises NotSquarefree for a
+    repeated factor.
     """
     g = f.primitive_part()
+    if not is_squarefree(g):
+        raise NotSquarefree(f"{g} has a repeated factor")
     k = 4 * max(g.degree, 1)
     h = kth_root_enclosure(Fraction(2), k, k.bit_length() + 4).lo
-    for box in isolate_roots(g, (h - 1) / 2):
+    eps = (h - 1) / 2
+    box = isolate_outermost(g, eps)
+    outermost = [box] if box is not None and box.mod_squared_interval().lo > 1 else []
+    for box in outermost or isolate_roots(g, eps):
         m2 = box.mod_squared_interval()
         if m2.lo > 1:
             place = Place(kind="archimedean", root_box=box)

@@ -167,9 +167,12 @@ def test_criterion_06_archimedean_witnesses():
     report(6, "golden-ratio and Lehmer witness intervals hit the known values")
 
 
-def test_criterion_07_witness_trichotomy_500_random():
+def criterion_7_draws():
+    """Criterion 7's 500 seeded inputs: squarefree primitive polynomials
+    of degree 1-6, every third one forced monic, salted with cyclotomics."""
+    from padicorder import is_squarefree
+
     rng = random.Random(20260823)
-    seen = {"root_of_unity": 0, "non_archimedean": 0, "archimedean": 0}
     produced = 0
     while produced < 500:
         if produced % 25 == 0:
@@ -184,10 +187,15 @@ def test_criterion_07_witness_trichotomy_500_random():
             if coeffs[-1] == 0 or coeffs[0] == 0:
                 continue
             f = IntPolynomial.from_coeffs(coeffs).primitive_part()
-            from padicorder import is_squarefree
-
             if not is_squarefree(f):
                 continue
+        yield f
+        produced += 1
+
+
+def test_criterion_07_witness_trichotomy_500_random():
+    seen = {"root_of_unity": 0, "non_archimedean": 0, "archimedean": 0}
+    for f in criterion_7_draws():
         res = find_witness(AlgebraicNumberSpec.from_poly(f, prove=True))
         if isinstance(res, RootOfUnity):
             assert res.order >= 1
@@ -197,7 +205,6 @@ def test_criterion_07_witness_trichotomy_500_random():
             assert isinstance(res, Witness)
             assert verify_witness_certificate(res.certificate)
             seen[res.certificate.place.kind] += 1
-        produced += 1
     assert all(v > 0 for v in seen.values())
     report(7, f"500-polynomial trichotomy, all certificates re-verify ({seen})")
 

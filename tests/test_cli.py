@@ -93,6 +93,19 @@ def test_witness_exit_2_archimedean(capsys):
     assert doc["place"]["type"] == "archimedean"
 
 
+def test_witness_modulus_past_the_largest_float(capsys, tmp_path):
+    # roots about -3e319 and 10/3; the approximate modulus must not overflow
+    poly = f"[{-10**320}, {3 * 10**319}, 1]"
+    code, out, _ = run(capsys, "witness", poly)
+    assert code == 2 and "e+319" in out
+    code, out, _ = run(capsys, "--json", "witness", poly)
+    assert code == 2
+    path = tmp_path / "witness.json"
+    path.write_text(out)
+    vcode, vout, _ = run(capsys, "verify", str(path))
+    assert vcode == 0 and "certificate VALID" in vout
+
+
 def test_witness_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "witness", "x^^2")
     assert code == 1 and "parse error" in err

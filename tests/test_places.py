@@ -268,7 +268,7 @@ def test_verify_rejects_box_holding_two_roots():
     assert not verify_witness_certificate(cert)
 
 
-def test_archimedean_witness_isolates_once(monkeypatch):
+def count_isolations(monkeypatch):
     import padicorder.places as places
 
     calls = []
@@ -279,10 +279,72 @@ def test_archimedean_witness_isolates_once(monkeypatch):
         return real(f, eps)
 
     monkeypatch.setattr(places, "isolate_roots", counting)
+    return calls
+
+
+def test_archimedean_witness_isolates_once(monkeypatch):
+    # at most one full isolation; on Lehmer, none: the outermost root suffices
+    import padicorder.places as places
+
+    calls = count_isolations(monkeypatch)
+    cert = places.archimedean_witness(LEHMER)
+    assert len(calls) == 0
+    assert cert.modulus_squared.lo > 1
+    assert verify_witness_certificate(cert)
+
+
+def test_archimedean_witness_falls_back_to_one_isolation(monkeypatch):
+    import padicorder.places as places
+
+    calls = count_isolations(monkeypatch)
+    monkeypatch.setattr(places, "isolate_outermost", lambda f, eps: None)
     cert = places.archimedean_witness(LEHMER)
     assert len(calls) == 1
     assert cert.modulus_squared.lo > 1
     assert verify_witness_certificate(cert)
+
+
+def parity_inputs():
+    """Criterion 7's draws, then seeded monic squarefree polynomials of
+    degree 7-40."""
+    from test_acceptance import criterion_7_draws
+
+    yield from criterion_7_draws()
+    rng = random.Random(22)
+    for deg in range(7, 41, 3):
+        while True:
+            f = IntPolynomial.from_coeffs([rng.randint(-9, 9) for _ in range(deg)] + [1])
+            if f.constant != 0 and is_squarefree(f):
+                yield f
+                break
+
+
+def test_outermost_witness_matches_the_full_isolation(monkeypatch):
+    import padicorder.places as places
+
+    def outcome(res):
+        if isinstance(res, RootOfUnity):
+            return res.order, res.conditionality
+        return res.certificate.place.kind, res.certificate.conditionality
+
+    def refuse(f, eps):
+        raise AssertionError("the verifier re-isolated")
+
+    archimedean = 0
+    for f in parity_inputs():
+        alpha = AlgebraicNumberSpec.from_poly(f)
+        with monkeypatch.context() as m:
+            m.setattr(places, "isolate_outermost", lambda f, eps: None)
+            forced = find_witness(alpha)
+        res = find_witness(alpha)
+        assert outcome(res) == outcome(forced), f
+        if outcome(res)[0] == "archimedean":
+            archimedean += 1
+            assert res.certificate.modulus_squared.lo > 1
+            with monkeypatch.context() as m:
+                m.setattr(places, "isolate_roots", refuse)  # the strict test alone
+                assert verify_witness_certificate(res.certificate), f
+    assert archimedean > 100
 
 
 def test_honest_degree_40_witness_verifies_without_isolating(monkeypatch):
