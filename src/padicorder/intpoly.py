@@ -3,9 +3,9 @@ exact irreducibility over Q.
 
 Polynomials are dense tuples of integer coefficients in ascending order,
 ``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Gcds, exact division,
-the squarefree test, cyclotomic polynomials and irreducibility use sympy's
-dense routines over ZZ; irreducibility is decided by factoring over Z
-(Zassenhaus), so it is exact.
+the squarefree test and cyclotomic polynomials use sympy's dense routines
+over ZZ. Irreducibility is exact: factor degrees mod small primes prove
+most irreducible f, and Zassenhaus over Z decides the rest.
 """
 
 from __future__ import annotations
@@ -200,11 +200,82 @@ def is_algebraic_integer(f: IntPolynomial) -> bool:
 PROVEN = "Proven"
 UNKNOWN = "Unknown"
 
+# tried in order, skipped ones included, so the sieve's cost is bounded
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13)
+# past this degree the sieve's gain on irreducible input shrinks and its
+# cost on reducible input grows (measured against Zassenhaus, CHANGES.md)
+_SIEVE_MAX_DEGREE = 24
+
+
+def _rem_p(a: list, b: list, p: int) -> list:
+    """a mod b over F_p, b monic; coefficients ascending, result trimmed."""
+    a, m = list(a), len(b) - 1
+    for i in range(len(a) - 1, m - 1, -1):
+        q = a[i] % p
+        if q:
+            for j in range(m):
+                a[i - m + j] -= q * b[j]
+    a = [c % p for c in a[:m]]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gcd_p(a: list, b: list, p: int) -> list:
+    """The monic gcd over F_p of a (monic) and b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = [c * inv % p for c in b], a
+        b = _rem_p(b, a, p)
+    return a
+
+
+def _degree_set(c: tuple, p: int) -> int:
+    """Bit mask of the degrees of products of f's irreducible factors mod p
+    (f = c, p not dividing c[-1]); every degree when f is not squarefree mod
+    p. gcd(f, x^(p^d) - x) holds the factors of degree dividing d, and the
+    rows x^(ip) mod f map x^(p^(d-1)) to x^(p^d) (Frobenius)."""
+    n, inv = len(c) - 1, pow(c[-1], -1, p)
+    f = [a * inv % p for a in c]
+    if len(_gcd_p(f, _rem_p([i * a for i, a in enumerate(c)][1:], f, p), p)) > 1:
+        return (1 << n + 1) - 1
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(_rem_p([0] * p + rows[-1], f, p))
+    mask, rest, d, h, found = 1, n, 0, [0, 1], [0] * (n + 1)
+    while 2 * (d + 1) <= rest:  # else the rest is one irreducible factor
+        d += 1
+        img = [0] * n
+        for hi, row in zip(h, rows):
+            for j, r in enumerate(row):
+                img[j] += hi * r
+        h = _rem_p(img, f, p)
+        img[1] -= 1  # x^(p^d) - x
+        k = len(_gcd_p(f, _rem_p(img, f, p), p)) - 1
+        found[d] = (k - sum(e * found[e] for e in range(1, d) if d % e == 0)) // d
+        rest -= d * found[d]
+        for _ in range(found[d]):
+            mask |= mask << d
+    return mask | mask << rest
+
 
 def check_irreducible(f: IntPolynomial) -> str:
-    """Irreducibility over Q by exact factorization over Z (Zassenhaus):
-    PROVEN when the primitive part of f is one irreducible factor of
-    multiplicity 1, UNKNOWN for constant, reducible or non-squarefree f.
+    """Irreducibility over Q: PROVEN when the primitive part g of f is one
+    irreducible factor of multiplicity 1, UNKNOWN for constant, reducible
+    or non-squarefree f. If g = u*v over Z, deg u lies in _degree_set(g, p)
+    for each prime p not dividing lc(g) (Gauss's lemma), so g is PROVEN once
+    those sets meet only in {0, deg g} (Musser, J. ACM 25, 1978); otherwise
+    sympy's Zassenhaus factors g over Z and gives the answer.
     """
-    _, factors = dup_factor_list(_dense(f.primitive_part()), ZZ)
+    g = f.primitive_part()
+    n = g.degree
+    allowed, proof = (1 << n + 1) - 1, 1 | 1 << n  # bit k: deg u = k is possible
+    for p in _SIEVE_PRIMES if n <= _SIEVE_MAX_DEGREE else ():
+        if allowed == proof:
+            break
+        if g.leading % p:
+            allowed &= _degree_set(g.coeffs, p)
+    if n >= 1 and allowed == proof:
+        return PROVEN
+    _, factors = dup_factor_list(_dense(g), ZZ)
     return PROVEN if [m for _, m in factors] == [1] else UNKNOWN

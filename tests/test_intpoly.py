@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_from_int_poly, gf_irreducible_p
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_irreducible_p, gf_sqf_p
 
+from padicorder import intpoly
 from padicorder import (
     IntPolynomial,
     NotSquarefree,
@@ -196,10 +198,15 @@ def test_check_irreducible_reducible_mod_every_prime(f):
     assert check_irreducible(f) == PROVEN
 
 
-def test_check_irreducible_never_lies_seeded():
+def _seeded_products():
+    """100 seeded pairs (g, h) of degree 1-4."""
     rng = random.Random(20261018)
     for _ in range(100):
-        g, h = _random_poly(rng, 1, 4), _random_poly(rng, 1, 4)
+        yield _random_poly(rng, 1, 4), _random_poly(rng, 1, 4)
+
+
+def test_check_irreducible_never_lies_seeded():
+    for g, h in _seeded_products():
         assert check_irreducible(g * h) == UNKNOWN, (g, h)
         assert check_irreducible(g * g) == UNKNOWN, g
 
@@ -220,6 +227,133 @@ def test_check_irreducible_agrees_with_mod_p_oracle():
                 fired += 1
                 break
     assert fired > 50
+
+
+# --- the degree-set sieve in front of Zassenhaus ----------------------------
+
+
+def _zassenhaus(f):
+    """The reference answer: sympy's Zassenhaus on the primitive part alone."""
+    _, factors = dup_factor_list(list(reversed(f.primitive_part().coeffs)), ZZ)
+    return PROVEN if [m for _, m in factors] == [1] else UNKNOWN
+
+
+def _criterion_7():
+    from test_acceptance import criterion_7_draws
+
+    return list(criterion_7_draws())
+
+
+def _parity_cases():
+    """Criterion 7's draws; 2,000 seeded polynomials of degree 1-20, half of
+    them monic up to sign, the rest with any leading coefficient, times a
+    content up to 10^5, with coefficients up to 10^40; and the products
+    g*h and g*g of the never-lies test."""
+    yield from _criterion_7()
+    rng = random.Random(20261020)
+    for i in range(2000):
+        bound = rng.choice((9, 10**6, 10**40))
+        degree = rng.randint(1, rng.choice((8, 20)))  # half of them cheap
+        coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+        coeffs[-1] = rng.choice((1, -1)) if i % 2 else coeffs[-1] or -1
+        content = rng.choice((1, 1, 2, 6, 10**5))
+        yield IntPolynomial(tuple(content * c for c in coeffs))
+    for g, h in _seeded_products():
+        yield g * h
+        yield g * g
+
+
+def test_check_irreducible_matches_zassenhaus_alone():
+    """The sieve only ever answers PROVEN, and only where factoring over Z
+    does: every answer equals the Zassenhaus-only reference."""
+    counts = {PROVEN: 0, UNKNOWN: 0}
+    for f in _parity_cases():
+        answer = check_irreducible(f)
+        assert answer == _zassenhaus(f), f
+        counts[answer] += 1
+    assert counts[PROVEN] > 1500 and counts[UNKNOWN] > 200
+
+
+def _degree_set_oracle(f, p):
+    """Subset sums of the factor degrees from galoistools, as a bit mask."""
+    g = gf_from_int_poly(list(reversed(f.coeffs)), p)
+    if not gf_sqf_p(g, p, ZZ):
+        return (1 << f.degree + 1) - 1
+    mask = 1
+    for factor in gf_factor_sqf(g, p, ZZ)[1]:
+        mask |= mask << len(factor) - 1
+    return mask
+
+
+def test_degree_set_matches_galoistools():
+    rng = random.Random(23)
+    for _ in range(300):
+        f = _random_poly(rng, 1, 12, bound=30)
+        if rng.random() < 0.3:
+            f = f * _random_poly(rng, 1, 3)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            if f.leading % p:
+                assert intpoly._degree_set(f.coeffs, p) == _degree_set_oracle(f, p), (f, p)
+
+
+def _refuse(*args):
+    raise AssertionError("Zassenhaus was called")
+
+
+def test_sieve_proves_without_zassenhaus(monkeypatch):
+    irreducible = [f for f in _criterion_7() if _zassenhaus(f) == PROVEN]
+    monkeypatch.setattr(intpoly, "dup_factor_list", _refuse)
+    assert check_irreducible(IntPolynomial((-1, -1, 0, 1))) == PROVEN  # x^3 - x - 1
+    assert check_irreducible(IntPolynomial((5, -6, 5))) == PROVEN
+    proven = 0
+    for f in irreducible:
+        try:
+            proven += check_irreducible(f) == PROVEN
+        except AssertionError:
+            pass
+    assert proven >= 0.9 * len(irreducible) and len(irreducible) > 400
+
+
+@pytest.mark.parametrize("f", [IntPolynomial((1, 0, -10, 0, 1)), cyclotomic(8), cyclotomic(12)])
+def test_undecided_input_reaches_zassenhaus(monkeypatch, f):
+    """Every factor of these mod p has degree 1 or 2, so 2 lies in every
+    degree set and only Zassenhaus proves them."""
+    calls = []
+    real = intpoly.dup_factor_list
+    monkeypatch.setattr(intpoly, "dup_factor_list", lambda *a: calls.append(a) or real(*a))
+    assert check_irreducible(f) == PROVEN and len(calls) == 1
+
+
+@pytest.mark.parametrize("f", [LEHMER, SALEM10])
+def test_degree_sets_prove_what_no_single_prime_does(monkeypatch, f):
+    """Reducible mod each sieve prime, yet the degree sets meet in {0, 10}:
+    Lehmer's is {0, 5, 10} mod 2 and {0, 2, 8, 10} mod 3."""
+    proof = 1 | 1 << f.degree
+    assert all(intpoly._degree_set(f.coeffs, p) != proof for p in intpoly._SIEVE_PRIMES)
+    monkeypatch.setattr(intpoly, "dup_factor_list", _refuse)
+    assert check_irreducible(f) == PROVEN
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        IntPolynomial((1, 1)) * IntPolynomial((1, 1)) * IntPolynomial((1, 0, 1)),  # (x+1)^2(x^2+1)
+        IntPolynomial((6,)),
+    ],
+)
+def test_sieve_tries_at_most_its_primes(monkeypatch, f):
+    calls = []
+    real = intpoly._degree_set
+    monkeypatch.setattr(intpoly, "_degree_set", lambda c, p: calls.append(p) or real(c, p))
+    assert check_irreducible(f) == UNKNOWN
+    assert len(calls) <= len(intpoly._SIEVE_PRIMES)
+
+
+def test_sieve_stops_at_its_degree_bound(monkeypatch):
+    calls = []
+    monkeypatch.setattr(intpoly, "_degree_set", lambda c, p: calls.append(p))
+    f = IntPolynomial((-1,) + (0,) * intpoly._SIEVE_MAX_DEGREE + (1,))  # x^(bound+1) - 1
+    assert check_irreducible(f) == UNKNOWN and calls == []
 
 
 def test_gcd_and_exact_division_seeded():
