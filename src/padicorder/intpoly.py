@@ -202,9 +202,6 @@ UNKNOWN = "Unknown"
 
 # tried in order, skipped ones included, so the sieve's cost is bounded
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13)
-# past this degree the sieve's gain on irreducible input shrinks and its
-# cost on reducible input grows (measured against Zassenhaus, CHANGES.md)
-_SIEVE_MAX_DEGREE = 24
 
 
 def _rem_p(a: list, b: list, p: int) -> list:
@@ -270,7 +267,7 @@ def check_irreducible(f: IntPolynomial) -> str:
     g = f.primitive_part()
     n = g.degree
     allowed, proof = (1 << n + 1) - 1, 1 | 1 << n  # bit k: deg u = k is possible
-    for p in _SIEVE_PRIMES if n <= _SIEVE_MAX_DEGREE else ():
+    for p in _SIEVE_PRIMES:
         if allowed == proof:
             break
         if g.leading % p:

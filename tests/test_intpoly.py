@@ -193,9 +193,19 @@ def _random_poly(rng, lo, hi, bound=9):
         cyclotomic(12),
     ],
 )
-def test_check_irreducible_reducible_mod_every_prime(f):
-    """Each of these factors mod every prime, so no mod-p test proves it."""
+def test_check_irreducible_reducible_mod_every_prime(monkeypatch, f):
+    """Each of these factors mod every prime, so no single mod-p test
+    proves it. The degree sets still meet in {0, 10} for LEHMER and
+    SALEM10 (Lehmer's is {0, 5, 10} mod 2 and {0, 2, 8, 10} mod 3); the
+    other three have only factors of degree 1 and 2 mod p, so they reach
+    Zassenhaus once."""
+    proof = 1 | 1 << f.degree
+    assert all(intpoly._degree_set(f.coeffs, p) != proof for p in intpoly._SIEVE_PRIMES)
+    calls = []
+    real = intpoly.dup_factor_list
+    monkeypatch.setattr(intpoly, "dup_factor_list", lambda *a: calls.append(a) or real(*a))
     assert check_irreducible(f) == PROVEN
+    assert len(calls) == (f not in (LEHMER, SALEM10))
 
 
 def _seeded_products():
@@ -314,46 +324,22 @@ def test_sieve_proves_without_zassenhaus(monkeypatch):
     assert proven >= 0.9 * len(irreducible) and len(irreducible) > 400
 
 
-@pytest.mark.parametrize("f", [IntPolynomial((1, 0, -10, 0, 1)), cyclotomic(8), cyclotomic(12)])
-def test_undecided_input_reaches_zassenhaus(monkeypatch, f):
-    """Every factor of these mod p has degree 1 or 2, so 2 lies in every
-    degree set and only Zassenhaus proves them."""
-    calls = []
-    real = intpoly.dup_factor_list
-    monkeypatch.setattr(intpoly, "dup_factor_list", lambda *a: calls.append(a) or real(*a))
-    assert check_irreducible(f) == PROVEN and len(calls) == 1
-
-
-@pytest.mark.parametrize("f", [LEHMER, SALEM10])
-def test_degree_sets_prove_what_no_single_prime_does(monkeypatch, f):
-    """Reducible mod each sieve prime, yet the degree sets meet in {0, 10}:
-    Lehmer's is {0, 5, 10} mod 2 and {0, 2, 8, 10} mod 3."""
-    proof = 1 | 1 << f.degree
-    assert all(intpoly._degree_set(f.coeffs, p) != proof for p in intpoly._SIEVE_PRIMES)
-    monkeypatch.setattr(intpoly, "dup_factor_list", _refuse)
-    assert check_irreducible(f) == PROVEN
-
-
 @pytest.mark.parametrize(
-    "f",
+    "f, tried",
     [
-        IntPolynomial((1, 1)) * IntPolynomial((1, 1)) * IntPolynomial((1, 0, 1)),  # (x+1)^2(x^2+1)
-        IntPolynomial((6,)),
+        # (x+1)^2(x^2+1): not squarefree mod any prime, so every prime is tried
+        (IntPolynomial((1, 1)) * IntPolynomial((1, 1)) * IntPolynomial((1, 0, 1)), (2, 3, 5, 7, 11, 13)),
+        # (30030x+1)(x+1): every sieve prime divides lc, and a skipped prime counts as tried
+        (IntPolynomial((1, 30031, 30030)), ()),
+        (IntPolynomial((6,)), ()),
     ],
 )
-def test_sieve_tries_at_most_its_primes(monkeypatch, f):
+def test_sieve_tries_at_most_its_primes(monkeypatch, f, tried):
     calls = []
     real = intpoly._degree_set
     monkeypatch.setattr(intpoly, "_degree_set", lambda c, p: calls.append(p) or real(c, p))
     assert check_irreducible(f) == UNKNOWN
-    assert len(calls) <= len(intpoly._SIEVE_PRIMES)
-
-
-def test_sieve_stops_at_its_degree_bound(monkeypatch):
-    calls = []
-    monkeypatch.setattr(intpoly, "_degree_set", lambda c, p: calls.append(p))
-    f = IntPolynomial((-1,) + (0,) * intpoly._SIEVE_MAX_DEGREE + (1,))  # x^(bound+1) - 1
-    assert check_irreducible(f) == UNKNOWN and calls == []
+    assert tuple(calls) == tried
 
 
 def test_gcd_and_exact_division_seeded():
