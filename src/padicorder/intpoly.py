@@ -2,10 +2,10 @@
 exact irreducibility over Q.
 
 Polynomials are dense tuples of integer coefficients in ascending order,
-``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Gcds, exact division,
-the squarefree test and cyclotomic polynomials use sympy's dense routines
-over ZZ. Irreducibility is exact: factor degrees mod small primes prove
-most irreducible f, and Zassenhaus over Z decides the rest.
+``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Exact division, and the
+squarefree and irreducibility tests mod the primes 2-13, run on Python ints;
+those tests settle most input, sympy's dup_sqf_p and Zassenhaus over Z the
+rest. Gcds and cyclotomic polynomials use sympy's dense routines over ZZ.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy.polys.densearith import dup_mul, dup_rr_div
+from sympy.polys.densearith import dup_mul
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
@@ -94,8 +94,15 @@ class IntPolynomial:
 
     def exact_div(self, divisor: "IntPolynomial"):
         """Exact quotient over Z, or None when the division does not come out even."""
-        quot, rem = dup_rr_div(_dense(self), _dense(divisor), ZZ)
-        return None if rem else IntPolynomial.from_coeffs(reversed(quot))
+        a, b, quot = list(self.coeffs), divisor.coeffs, []
+        for i in range(len(a) - len(b), -1, -1):  # schoolbook, top term first
+            q, r = divmod(a[i + len(b) - 1], b[-1])
+            if r:
+                return None
+            quot.append(q)
+            for j, c in enumerate(b):
+                a[i + j] -= q * c
+        return None if any(a) else IntPolynomial(tuple(reversed(quot)))
 
     def __str__(self):
         terms = []
@@ -127,7 +134,11 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 
 def is_squarefree(f: IntPolynomial) -> bool:
-    """True iff gcd(f, f') is constant."""
+    """True iff gcd(f, f') is constant. True at once when f is squarefree
+    mod a sieve prime p not dividing lc(f): then p does not divide
+    Res(f, f'), so Res(f, f') != 0. sympy's dup_sqf_p decides otherwise."""
+    if any(f.leading % p and _monic_sqf_p(f.coeffs, p) for p in _SIEVE_PRIMES):
+        return True
     return dup_sqf_p(_dense(f), ZZ)
 
 
@@ -227,14 +238,22 @@ def _gcd_p(a: list, b: list, p: int) -> list:
     return a
 
 
+def _monic_sqf_p(c: tuple, p: int):
+    """f = c made monic mod p (p not dividing c[-1]), or None when f is not
+    squarefree mod p, that is when gcd(f, f') mod p is not constant."""
+    inv = pow(c[-1], -1, p)
+    f = [a * inv % p for a in c]
+    df = _rem_p([i * a for i, a in enumerate(c)][1:], f, p)
+    return f if len(_gcd_p(f, df, p)) == 1 else None
+
+
 def _degree_set(c: tuple, p: int) -> int:
     """Bit mask of the degrees of products of f's irreducible factors mod p
     (f = c, p not dividing c[-1]); every degree when f is not squarefree mod
     p. gcd(f, x^(p^d) - x) holds the factors of degree dividing d, and the
     rows x^(ip) mod f map x^(p^(d-1)) to x^(p^d) (Frobenius)."""
-    n, inv = len(c) - 1, pow(c[-1], -1, p)
-    f = [a * inv % p for a in c]
-    if len(_gcd_p(f, _rem_p([i * a for i, a in enumerate(c)][1:], f, p), p)) > 1:
+    n, f = len(c) - 1, _monic_sqf_p(c, p)
+    if f is None:
         return (1 << n + 1) - 1
     rows = [[1]]
     for _ in range(n - 1):

@@ -21,9 +21,11 @@ Acta Numerica 2010):
   rounded outward to dyadics.  The root is a fixed point of the Krawczyk
   map, so it stays inside; the sequence of boxes does not depend on eps,
   so the boxes for eps/2 nest in the boxes for eps.
-- One root: isolate_outermost runs the doubles step once, sizes the box
-  around the proposal of largest modulus, tests and shrinks it alone,
-  and returns None where isolate_roots would raise or retry.
+- One root: isolate_outermost runs the doubles step once, makes exact
+  only the proposals within rounding of the largest modulus, sizes the
+  box around the largest, runs the strict test on that integer rectangle,
+  shrinks it alone, and returns None where isolate_roots would raise or
+  retry.
 
 Floats and multiprecision numbers only propose candidates; every
 decision is an exact comparison.
@@ -188,9 +190,14 @@ def isolates_one_root(f: IntPolynomial, box: ComplexBox) -> bool:
     A real box [a, b] x [0, 0] takes the one-dimensional test, K real and
     inside (a, b); any other degenerate box, or a constant f, fails."""
     x = _rect(box.real.lo, box.real.hi, box.imag.lo, box.imag.hi)
-    if f.is_constant() or x[2] == x[3] != 0:
+    return not f.is_constant() and _isolates(f, f.derivative(), x)
+
+
+def _isolates(f: IntPolynomial, df: IntPolynomial, x) -> bool:
+    """isolates_one_root on the rectangle x, given df = f'."""
+    if x[2] == x[3] != 0:
         return False
-    k = _krawczyk(f, f.derivative(), x)
+    k = _krawczyk(f, df, x)
     if k is None:
         return False
     x, k = [v * k[4] for v in x[:4]], [v * x[4] for v in k[:4]]  # over one denominator
@@ -225,17 +232,25 @@ def _aberth(coeffs, tol) -> list:
 
 
 def _exact(v) -> Fraction:
-    """A finite float or mpf as a Fraction; ValueError otherwise."""
+    """A finite float or mpf as a Fraction; ValueError or OverflowError otherwise."""
+    if isinstance(v, float):
+        return Fraction(v)
     if not mpmath.isfinite(v):
         raise ValueError(f"{v} is not finite")
     man, exp = mpmath.mpf(v).man_exp
     return (-man if v < 0 else man) * Fraction(2) ** exp
 
 
-def _proposals(coeffs, tol):
-    """_aberth's roots as exact (re, im) pairs, or [] when it fails."""
+def _proposals(coeffs, tol, outermost=False):
+    """_aberth's roots as exact (re, im) pairs, or [] when it fails; with
+    outermost, in doubles, only those within rounding of the largest
+    modulus (abs errs by under 2^-52 relative) and any non-finite one."""
     try:
-        return [(_exact(z.real), _exact(z.imag)) for z in _aberth(coeffs, tol)]
+        zs = _aberth(coeffs, tol)
+        if outermost:
+            top = max(map(abs, zs)) * (1 - 2**-40)
+            zs = [z for z in zs if not abs(z) < top]  # keeps nan, so that it raises
+        return [(_exact(z.real), _exact(z.imag)) for z in zs]
     except (ArithmeticError, ValueError):  # an overflow, no settling, a non-finite root
         return []
 
@@ -339,9 +354,9 @@ def isolate_outermost(f: IntPolynomial, eps) -> ComplexBox | None:
     """A box of width at most eps around _aberth's proposal of largest
     modulus in complex doubles, proven to hold exactly one root of a
     squarefree f; None where isolate_roots would retry or raise."""
-    roots, df = _proposals(f.coeffs, 2**-50), f.derivative()
+    roots, df = _proposals(f.coeffs, 2**-50, outermost=True), f.derivative()
     x = _sized(f, df, *max(roots, key=lambda z: z[0] ** 2 + z[1] ** 2), 53) if roots else None
-    if x is None or not isolates_one_root(f, _box(_rect(*x))):
+    if x is None or not _isolates(f, df, _rect(*x)):
         return None
     try:
         return _shrink(f, df, x, Fraction(eps))

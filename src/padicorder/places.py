@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import factorint, isprime
 
@@ -157,6 +158,13 @@ def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     raise AssertionError("no positive slope found for non-monic primitive input")
 
 
+@lru_cache(maxsize=None)
+def _dimitrov_width(n: int) -> Fraction:
+    """(h - 1)/2 for the dyadic h = 2^(1/(4n)) rounded down, so 1 < h."""
+    k = 4 * max(n, 1)
+    return (kth_root_enclosure(Fraction(2), k, k.bit_length() + 4).lo - 1) / 2
+
+
 def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     """Certify a root of modulus > 1 by exact comparison of |box|^2 bounds
     against 1: the outermost root alone, by isolate_outermost, or else the
@@ -173,9 +181,7 @@ def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     g = f.primitive_part()
     if not is_squarefree(g):
         raise NotSquarefree(f"{g} has a repeated factor")
-    k = 4 * max(g.degree, 1)
-    h = kth_root_enclosure(Fraction(2), k, k.bit_length() + 4).lo
-    eps = (h - 1) / 2
+    eps = _dimitrov_width(g.degree)
     box = isolate_outermost(g, eps)
     outermost = [box] if box is not None and box.mod_squared_interval().lo > 1 else []
     for box in outermost or isolate_roots(g, eps):

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.densearith import dup_rr_div
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_irreducible_p, gf_sqf_p
+from sympy.polys.sqfreetools import dup_sqf_p
 
 from padicorder import intpoly
 from padicorder import (
@@ -360,6 +362,12 @@ def test_exact_div_outside_integer_polynomials():
     assert IntPolynomial((-1, 0, 1)).exact_div(IntPolynomial((-2, 2))) is None
     assert IntPolynomial((-1, 1)).exact_div(IntPolynomial((-1, 0, 1))) is None
     assert IntPolynomial((2, 4)).exact_div(IntPolynomial((2,))) == IntPolynomial((1, 2))
+    # (6x^2 + 5x + 1) / (2x + 1) = 3x + 1, but (x^2 + x) / (2x + 2) = x/2
+    assert IntPolynomial((1, 5, 6)).exact_div(IntPolynomial((1, 2))) == IntPolynomial((1, 3))
+    assert IntPolynomial((0, 1, 1)).exact_div(IntPolynomial((2, 2))) is None
+    assert IntPolynomial((3, 6)).exact_div(IntPolynomial((-3,))) == IntPolynomial((-1, -2))
+    assert IntPolynomial((3, 5)).exact_div(IntPolynomial((2,))) is None
+    assert IntPolynomial((4,)).exact_div(IntPolynomial((1, 1))) is None
 
 
 # --- sympy's cyclotomic and squarefree routines against oracles --------------
@@ -403,3 +411,72 @@ def test_is_squarefree_matches_gcd_oracle():
         assert is_squarefree(f) == oracle, f
         squares += not oracle
     assert len(cases) == 2000 and squares > 600
+
+
+# --- the Python-int kernels against the sympy routines they replace ----------
+
+
+def _divisor(rng):
+    """A divisor of degree 0-6: constant, monic or not, leading up to 30030."""
+    b = _random_poly(rng, 0, 6)
+    lc = rng.choice((1, -1, 2, -3, 6, 30030, b.leading))
+    return IntPolynomial(b.coeffs[:-1] + (lc,))
+
+
+def test_exact_div_matches_dup_rr_div_seeded():
+    """None exactly where dup_rr_div leaves a remainder, else its quotient:
+    exact products, non-integral quotients, divisors of higher degree."""
+    rng = random.Random(20261020)
+    outcomes = {"exact": 0, "remainder": 0, "higher": 0, "constant": 0}
+    for _ in range(3000):
+        b = _divisor(rng)
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = _random_poly(rng, 0, 6) * b
+        elif kind == 1:  # (b*q + r)/b: non-integral or with a remainder
+            coeffs = [c + rng.randint(-2, 2) for c in (_random_poly(rng, 0, 6) * b).coeffs]
+            if not any(coeffs):
+                continue
+            a = IntPolynomial.from_coeffs(coeffs)
+        else:
+            a = _random_poly(rng, 0, 8)
+        quot, rem = dup_rr_div(list(reversed(a.coeffs)), list(reversed(b.coeffs)), ZZ)
+        expect = None if rem else IntPolynomial.from_coeffs(reversed(quot))
+        assert a.exact_div(b) == expect, (a, b)
+        outcomes["remainder" if expect is None else "exact"] += 1
+        outcomes["higher"] += b.degree > a.degree
+        outcomes["constant"] += b.is_constant()
+    assert min(outcomes.values()) > 150, outcomes
+
+
+def test_is_squarefree_matches_dup_sqf_p_seeded():
+    rng = random.Random(20261021)
+    counts = [0, 0]
+    for _ in range(3000):
+        f = _divisor(rng)
+        if rng.random() < 0.4:
+            h = _random_poly(rng, 1, 3)
+            f = f * h * h
+        expect = dup_sqf_p(list(reversed(f.coeffs)), ZZ)
+        assert is_squarefree(f) == expect, f
+        counts[expect] += 1
+    assert min(counts) > 800, counts
+
+
+@pytest.mark.parametrize(
+    "f, fallback",
+    [
+        (IntPolynomial((-2, 0, 1)), 0),  # x^2 - 2, squarefree mod 3
+        (LEHMER, 0),
+        (IntPolynomial((5,)), 0),
+        (IntPolynomial((-30030, 0, 1)), 1),  # squarefree, but x^2 mod every sieve prime
+        (IntPolynomial((1, 1, 30030)), 1),  # every sieve prime divides lc and is skipped
+        (IntPolynomial((4, 4, 1)), 1),  # (x + 2)^2
+    ],
+    ids=str,
+)
+def test_is_squarefree_falls_back_to_sympy_only_when_undecided(monkeypatch, f, fallback):
+    calls = []
+    monkeypatch.setattr(intpoly, "dup_sqf_p", lambda g, K: calls.append(g) or dup_sqf_p(g, K))
+    assert is_squarefree(f) == dup_sqf_p(list(reversed(f.coeffs)), ZZ)
+    assert len(calls) == fallback

@@ -247,6 +247,69 @@ def test_proposer_failure_at_every_precision_raises_typed_error(monkeypatch, pro
         isolate_roots(LEHMER, EPS)
 
 
+def _mpmath_exact(v) -> Fraction:
+    """A finite double or mpf as a Fraction through mpmath's mantissa and
+    exponent, as isolation._exact converted every value before."""
+    if not mpmath.isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    man, exp = mpmath.mpf(v).man_exp
+    return (-man if v < 0 else man) * Fraction(2) ** exp
+
+
+def test_exact_floats_equal_mpmath_conversion():
+    rng = random.Random(20261020)
+    values = [0.0, -0.0, 2.0**1000, -(2.0**1000), 2.0**-1000, -(2.0**-1000), 5e-324, -5e-324]
+    values += [2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3, -0.1]
+    values += [rng.getrandbits(52) * 2.0**-1074 * rng.choice((1, -1)) for _ in range(500)]  # subnormal
+    values += [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1022, 1023) for _ in range(2000)]
+    for v in values:
+        assert isolation._exact(v) == _mpmath_exact(v), v
+    for v in (mpmath.mpf(2) ** -3000, -mpmath.mpf(1) / 3):  # mpf keeps the mpmath path
+        assert isolation._exact(v) == _mpmath_exact(v)
+
+
+@pytest.mark.parametrize("bad", [complex("inf"), complex("-inf"), complex(0, float("-inf")), complex("nan+nanj")], ids=str)
+def test_non_finite_proposal_is_no_proposal(monkeypatch, bad):
+    """One non-finite root among honest ones: _proposals gives [] and
+    isolate_outermost None, wherever it sits."""
+    for at in (0, -1):
+        def aberth(coeffs, tol):
+            zs = HONEST_ABERTH(coeffs, tol)
+            zs[at] = bad
+            return zs
+
+        monkeypatch.setattr(isolation, "_aberth", aberth)
+        assert isolation._proposals(LEHMER.coeffs, 2**-50) == []
+        assert isolation.isolate_outermost(LEHMER, EPS) is None
+
+
+def oracle_outermost(f, eps):
+    """isolate_outermost as it ran when every proposal was made exact and
+    the box went through isolates_one_root: the first proposal of largest
+    exact |z|^2."""
+    try:
+        roots = [(_mpmath_exact(z.real), _mpmath_exact(z.imag)) for z in HONEST_ABERTH(f.coeffs, 2**-50)]
+    except (ArithmeticError, ValueError):
+        return None
+    df = f.derivative()
+    x = isolation._sized(f, df, *max(roots, key=lambda z: z[0] ** 2 + z[1] ** 2), 53)
+    if x is None or not isolation.isolates_one_root(f, isolation._box(isolation._rect(*x))):
+        return None
+    try:
+        return isolation._shrink(f, df, x, eps)
+    except MaxPrecisionExceeded:
+        return None
+
+
+def test_outermost_boxes_equal_all_exact_selection():
+    eps, found = Fraction(1, 2**12), 0
+    for f in criterion_7_draws():
+        box = isolation.isolate_outermost(f, eps)
+        assert box == oracle_outermost(f, eps), f
+        found += box is not None
+    assert found > 450
+
+
 @pytest.mark.parametrize("deg, a", [(10, 50), (12, 100)])
 def test_close_real_roots_certified_at_default_cap(deg, a):
     f = close_pair(deg, a)
