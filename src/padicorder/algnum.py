@@ -29,7 +29,3 @@ class AlgebraicNumberSpec:
         if prove and check_irreducible(f) == PROVEN:
             status = PROVEN
         return cls(f.primitive_part(), None, status)
-
-    @property
-    def degree(self) -> int:
-        return self.defining_poly.degree

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algnum import AlgebraicNumberSpec
 from .errors import MaxPrecisionExceeded, PadicOrderError, ParseError
 from .haar import Cylinder, PolyDensity, cylinder_measure, integrate
+from .intervals import RationalInterval
 from .intpoly import IntPolynomial, check_irreducible, root_of_unity_order
 from .places import (
     RootOfUnity,
@@ -272,8 +273,6 @@ def _verify_tile_doc(doc: dict) -> bool:
 
 
 def _verify_integral_doc(doc: dict) -> bool:
-    from .intervals import RationalInterval
-
     f = parsing.parse_multipoly(doc["density"], _int(doc["region"]["dim"]))
     region = Cylinder(
         _int(doc["prime"]),

@@ -25,7 +25,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from .errors import DepthZero, MaxPrecisionExceeded, NonIntegralDensity
+from .errors import DepthZero, MaxPrecisionExceeded, NonIntegralDensity, NonUnitJacobian
 from .intervals import RationalInterval, p_power_enclosure
 from .padic import padic_valuation, rational_valuation, INF, _check_prime
 
@@ -379,8 +379,6 @@ def change_of_variables_check(
     the single density |f(phi(x)) * det J(x)^m|^(1/m).  Returns
     (overlap, left interval, right interval).
     """
-    from .errors import NonUnitJacobian
-
     n = phi.source_dim
     comps, det = _ring_jacobian(phi)
     if not _measure_preserving(phi, det, p):

@@ -59,9 +59,6 @@ class RationalInterval:
     def intersects(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
-
 
 def kth_root_enclosure(r: Fraction, k: int, scale_bits: int) -> RationalInterval:
     """Dyadic enclosure of r**(1/k) with width <= 2**(-scale_bits).

@@ -4,8 +4,9 @@ exact irreducibility over Q.
 Polynomials are dense tuples of integer coefficients in ascending order,
 ``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Exact division, and the
 squarefree and irreducibility tests mod the primes 2-13, run on Python ints;
-those tests settle most input, sympy's dup_sqf_p and Zassenhaus over Z the
-rest. Gcds and cyclotomic polynomials use sympy's dense routines over ZZ.
+those tests settle most input, gcd(f, f') and Zassenhaus over Z the rest.
+Gcds and cyclotomic polynomials use sympy's dense routines over ZZ, Euler's
+phi sympy's factorint.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from sympy import factorint
 from sympy.polys.densearith import dup_mul
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
-from sympy.polys.sqfreetools import dup_sqf_p
 
 from .errors import NotSquarefree
 
@@ -89,9 +90,6 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial.from_coeffs(reversed(dup_mul(_dense(self), _dense(other), ZZ)))
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
     def exact_div(self, divisor: "IntPolynomial"):
         """Exact quotient over Z, or None when the division does not come out even."""
         a, b, quot = list(self.coeffs), divisor.coeffs, []
@@ -118,8 +116,6 @@ class IntPolynomial:
                 var = "x" if i == 1 else f"x^{i}"
                 body = var if mag == 1 else f"{mag}*{var}"
             terms.append((sign, body))
-        if not terms:
-            return "0"
         first_sign, first_body = terms[0]
         out = ("-" if first_sign == "-" else "") + first_body
         for sign, body in terms[1:]:
@@ -136,26 +132,17 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 def is_squarefree(f: IntPolynomial) -> bool:
     """True iff gcd(f, f') is constant. True at once when f is squarefree
     mod a sieve prime p not dividing lc(f): then p does not divide
-    Res(f, f'), so Res(f, f') != 0. sympy's dup_sqf_p decides otherwise."""
+    Res(f, f'), so Res(f, f') != 0. poly_gcd decides otherwise."""
     if any(f.leading % p and _monic_sqf_p(f.coeffs, p) for p in _SIEVE_PRIMES):
         return True
-    return dup_sqf_p(_dense(f), ZZ)
+    return f.is_constant() or poly_gcd(f, f.derivative()).is_constant()
 
 
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     if d < 1:
         raise ValueError("d must be positive")
-    result, n, p = d, d, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in factorint(d).items())
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,6 @@ from .intervals import RationalInterval
 from .intpoly import IntPolynomial, is_squarefree
 
 MAX_PRECISION_BITS = 53 << 6  # working-precision cap of the approximation step
-MAX_FALLBACK_DEGREE = 32  # verify_witness_certificate re-isolates no higher degree
 MAX_SHRINK_STEPS = 64  # Krawczyk steps allowed per box when shrinking
 _GUARD_BITS = 8  # grid and inverse precision below a box's width
 
@@ -84,9 +83,6 @@ class ComplexBox:
         lo = axis_min(self.real) ** 2 + axis_min(self.imag) ** 2
         hi = axis_max(self.real) ** 2 + axis_max(self.imag) ** 2
         return RationalInterval(lo, hi)
-
-    def __str__(self):
-        return f"{self.real} x {self.imag}"
 
 
 # A rectangle is a tuple (re_lo, re_hi, im_lo, im_hi, d) of integers: the
@@ -274,11 +270,10 @@ def _sized(f: IntPolynomial, df: IntPolynomial, re: Fraction, im: Fraction, prec
     return (re - radius, re + radius) + im
 
 
-def _candidates(f: IntPolynomial, prec: int):
+def _candidates(f: IntPolynomial, df: IntPolynomial, prec: int):
     """Dyadic boxes around _aberth's roots of f at prec bits, or [] when it
     fails: in complex doubles at 53 bits, and on mpf coefficients at
     2 prec bits when that fails and above 53 bits."""
-    df = f.derivative()
     roots = _proposals(f.coeffs, 2**-50) if prec == 53 else []
     if not roots:
         with mpmath.workprec(2 * prec):
@@ -287,14 +282,15 @@ def _candidates(f: IntPolynomial, prec: int):
     return [] if None in rects else rects
 
 
-def _certified_rects(f: IntPolynomial):
-    """n pairwise-disjoint rectangles, each passing isolates_one_root."""
+def _certified_rects(f: IntPolynomial, df: IntPolynomial):
+    """n pairwise-disjoint rectangles, each passing the strict test."""
     prec = 53
     while prec <= MAX_PRECISION_BITS:
-        rects = _candidates(f, prec)
-        boxes = [_box(_rect(*x)) for x in rects]
+        rects = _candidates(f, df, prec)
+        xs = [_rect(*x) for x in rects]
+        boxes = [_box(x) for x in xs]
         disjoint = all(not a.overlaps(b) for a, b in combinations(boxes, 2))
-        if len(boxes) == f.degree and disjoint and all(isolates_one_root(f, b) for b in boxes):
+        if len(xs) == f.degree and disjoint and all(_isolates(f, df, x) for x in xs):
             return rects
         prec *= 2
     raise MaxPrecisionExceeded(
@@ -344,7 +340,7 @@ def isolate_roots(f: IntPolynomial, eps) -> list[ComplexBox]:
     if eps <= 0:
         raise ValueError("eps must be positive")
     df = f.derivative()
-    boxes = [_shrink(f, df, x, eps) for x in _certified_rects(f)]
+    boxes = [_shrink(f, df, x, eps) for x in _certified_rects(f, df)]
     return sorted(
         boxes, key=lambda b: (b.real.lo, b.imag.lo, b.real.hi, b.imag.hi)
     )

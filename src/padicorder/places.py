@@ -31,21 +31,19 @@ from .intpoly import (
     is_squarefree,
     root_of_unity_order,
 )
-from .isolation import MAX_FALLBACK_DEGREE, ComplexBox, isolates_one_root
-from .isolation import isolate_outermost, isolate_roots
+from .isolation import ComplexBox, isolate_outermost, isolate_roots, isolates_one_root
 from .padic import PPower, padic_valuation
 
 UNCONDITIONAL = "Unconditional"
 CONDITIONAL = "ConditionalOnIrreducibility"
 
 SLOPE_CONVENTION = "root valuation = -slope"
+MAX_FALLBACK_DEGREE = 32  # verify_witness_certificate re-isolates no higher degree
 
 
 @dataclass(frozen=True)
 class NewtonPolygon:
     prime: int
-    points: tuple[tuple[int, int], ...]  # (i, v_p(c_i)) for nonzero c_i
-    lower_hull: tuple[tuple[int, int], ...]
     segments: tuple[tuple[Fraction, int], ...]  # (slope, length)
 
 
@@ -68,7 +66,7 @@ def newton_polygon(f: IntPolynomial, p: int) -> NewtonPolygon:
         (Fraction(y2 - y1, x2 - x1), x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     )
-    return NewtonPolygon(p, points, tuple(hull), segments)
+    return NewtonPolygon(p, segments)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,13 +97,13 @@ class WitnessCertificate:
     conditionality: str = UNCONDITIONAL
     slope_convention: str = SLOPE_CONVENTION
 
-    def modulus_interval(self, scale_bits: int = 64) -> RationalInterval:
+    def modulus_interval(self) -> RationalInterval:
         """Certified rational enclosure of the witness conjugate's modulus."""
         if self.place.kind == "non_archimedean":
-            return p_power_enclosure(self.place.prime, self.place.slope, scale_bits)
+            return p_power_enclosure(self.place.prime, self.place.slope, 64)
         m2 = self.modulus_squared
-        lo = kth_root_enclosure(m2.lo, 2, scale_bits).lo
-        hi = kth_root_enclosure(m2.hi, 2, scale_bits).hi
+        lo = kth_root_enclosure(m2.lo, 2, 64).lo
+        hi = kth_root_enclosure(m2.hi, 2, 64).hi
         return RationalInterval(lo, hi)
 
 
@@ -139,7 +137,7 @@ def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     if g.leading == 1:
         return None
     if not is_squarefree(g):
-        raise NotSquarefree(f"{f} has a repeated factor")
+        raise NotSquarefree(f"{g} has a repeated factor")
     for p in sorted(factorint(g.leading)):
         np = newton_polygon(g, p)
         for idx, (slope, _length) in enumerate(np.segments):
@@ -183,21 +181,23 @@ def archimedean_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
         raise NotSquarefree(f"{g} has a repeated factor")
     eps = _dimitrov_width(g.degree)
     box = isolate_outermost(g, eps)
-    outermost = [box] if box is not None and box.mod_squared_interval().lo > 1 else []
-    for box in outermost or isolate_roots(g, eps):
-        m2 = box.mod_squared_interval()
-        if m2.lo > 1:
-            place = Place(kind="archimedean", root_box=box)
-            return WitnessCertificate(
-                alpha=AlgebraicNumberSpec(g),
-                place=place,
-                norm_bound=_rational_sqrt_lower(m2.lo),
-                modulus_squared=m2,
-                conditionality=conditionality,
+    m2 = None if box is None else box.mod_squared_interval()
+    if m2 is None or m2.lo <= 1:
+        for box in isolate_roots(g, eps):
+            m2 = box.mod_squared_interval()
+            if m2.lo > 1:
+                break
+        else:
+            raise MaxPrecisionExceeded(
+                "no isolated root certifies modulus > 1; the input is either "
+                "non-monic (use the p-adic branch) or a product of cyclotomics"
             )
-    raise MaxPrecisionExceeded(
-        "no isolated root certifies modulus > 1; the input is either "
-        "non-monic (use the p-adic branch) or a product of cyclotomics"
+    return WitnessCertificate(
+        alpha=AlgebraicNumberSpec(g),
+        place=Place(kind="archimedean", root_box=box),
+        norm_bound=_rational_sqrt_lower(m2.lo),
+        modulus_squared=m2,
+        conditionality=conditionality,
     )
 
 

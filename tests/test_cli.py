@@ -1,5 +1,6 @@
 """CLI: exit-code contract, JSON documents, verify round-trips."""
 
+import io
 import json
 import os
 import subprocess
@@ -38,6 +39,18 @@ def test_order_eigenvalues(capsys):
     code, doc = run_json(capsys, "order", "--eigenvalues", "x^2 + 1; [1,1]")
     assert code == 0
     assert doc["verdict"] == "finite" and doc["order"] == 4
+
+
+def test_order_eigenvalues_reducible_is_conditional_and_verifies(capsys, tmp_path):
+    # (x + 1)(x^2 + 1): the orders 2 and 4 of both factors, on an unproven spec
+    code, doc = run_json(capsys, "order", "--eigenvalues", "x^3 + x^2 + x + 1")
+    assert code == 0
+    assert doc["verdict"] == "finite" and doc["order"] == 4
+    assert doc["conditionality"] == "ConditionalOnIrreducibility"
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(doc))
+    vcode, out, _ = run(capsys, "verify", str(path))
+    assert vcode == 0 and "VALID" in out
 
 
 def test_order_singular_matrix_exit_1(capsys):
@@ -193,6 +206,17 @@ def test_verify_rejects_tampered(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path))
+    assert code == 2 and "INVALID" in out
+
+
+def test_verify_reads_stdin(capsys, monkeypatch):
+    _, doc = run_json(capsys, "witness", "[5,-6,5]")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 0 and "certificate VALID" in out
+    doc["norm_bound"]["exponent"] = "3/1"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run(capsys, "verify", "-")
     assert code == 2 and "INVALID" in out
 
 

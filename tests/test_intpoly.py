@@ -477,6 +477,7 @@ def test_is_squarefree_matches_dup_sqf_p_seeded():
 )
 def test_is_squarefree_falls_back_to_sympy_only_when_undecided(monkeypatch, f, fallback):
     calls = []
-    monkeypatch.setattr(intpoly, "dup_sqf_p", lambda g, K: calls.append(g) or dup_sqf_p(g, K))
+    gcd = intpoly.poly_gcd
+    monkeypatch.setattr(intpoly, "poly_gcd", lambda a, b: calls.append(a) or gcd(a, b))
     assert is_squarefree(f) == dup_sqf_p(list(reversed(f.coeffs)), ZZ)
     assert len(calls) == fallback

@@ -177,10 +177,22 @@ def test_certification_rejects_bad_candidates(monkeypatch, coeffs, tamper):
     disjointness check; so no precision certifies."""
     honest = isolation._candidates
     monkeypatch.setattr(
-        isolation, "_candidates", lambda f, prec: tamper(honest(f, prec))
+        isolation, "_candidates", lambda f, df, prec: tamper(honest(f, df, prec))
     )
     with pytest.raises(MaxPrecisionExceeded):
         isolate_roots(IntPolynomial(coeffs), EPS)
+
+
+def test_isolate_roots_certifies_on_rectangles(monkeypatch):
+    """The strict test runs on the candidate rectangles with one f', not
+    through a ComplexBox per candidate."""
+    boxes = isolate_roots(LEHMER, Fraction(1, 2**20))
+
+    def refuse(f, box):
+        raise AssertionError("isolates_one_root called")
+
+    monkeypatch.setattr(isolation, "isolates_one_root", refuse)
+    assert isolate_roots(LEHMER, Fraction(1, 2**20)) == boxes and len(boxes) == 10
 
 
 def test_double_overflow_isolates_on_mpf_coefficients():
@@ -242,7 +254,7 @@ def test_bad_double_proposals_never_pass(monkeypatch, proposer, f):
 @pytest.mark.parametrize("proposer", [_nan_roots, _no_settling])
 def test_proposer_failure_at_every_precision_raises_typed_error(monkeypatch, proposer):
     monkeypatch.setattr(isolation, "_aberth", proposer)
-    assert isolation._candidates(LEHMER, 53) == []
+    assert isolation._candidates(LEHMER, LEHMER.derivative(), 53) == []
     with pytest.raises(MaxPrecisionExceeded):
         isolate_roots(LEHMER, EPS)
 
@@ -391,7 +403,7 @@ def test_exact_sizing_equals_mpmath_sizing():
             expect = oracle_candidates(f)
         except ArithmeticError:  # doubles do not settle; the mpf run proposes
             continue
-        assert isolation._candidates(f, 53) == expect, f
+        assert isolation._candidates(f, f.derivative(), 53) == expect, f
         compared += 1
     assert compared > 550
 
@@ -408,7 +420,7 @@ def test_exact_sizing_takes_least_power_of_two():
         roots = isolation._proposals(f.coeffs, 2**-50)
         if not is_squarefree(f) or not roots:
             continue
-        for (re, im), x in zip(roots, isolation._candidates(f, 53)):
+        for (re, im), x in zip(roots, isolation._candidates(f, f.derivative(), 53)):
             fr, fi = _oracle_eval_point(f.coeffs, re, im)
             dr, di = _oracle_eval_point(f.derivative().coeffs, re, im)
             r2 = max(16 * deg * deg * (fr * fr + fi * fi) / (dr * dr + di * di), Fraction(1, 4**26))
@@ -658,6 +670,6 @@ def oracle_shrink(f, x, eps):
 
 def test_integer_shrink_equals_fraction_shrink():
     for f in ORACLE_POLYS[:30] + [LEHMER, close_pair(10, 50)]:
-        for x in isolation._certified_rects(f):
+        for x in isolation._certified_rects(f, f.derivative()):
             for eps in (Fraction(1, 64), Fraction(1, 2**40)):
                 assert isolation._shrink(f, f.derivative(), x, eps) == oracle_shrink(f, x, eps), f

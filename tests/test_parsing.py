@@ -21,6 +21,36 @@ def test_malformed_density_is_a_parse_error(text):
         parse_multipoly(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_polynomial, "[1,2", "unterminated coefficient list"),
+        (parse_polynomial, "[1,a]", "bad coefficient list"),
+        (parse_matrix, "1,1;", "empty row 1"),
+        (parse_matrix, "1,1;2", "ragged matrix rows"),
+        (parse_rational, "1/0", "bad rational"),
+    ],
+)
+def test_malformed_list_matrix_or_rational_is_a_parse_error(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "[1,2"),
+        ("witness", "[1,a]"),
+        ("order", "--matrix", "1,1;"),
+        ("order", "--matrix", "1,1;2"),
+        ("order", "--matrix", "1/0,1;0,1"),
+    ],
+)
+def test_malformed_list_or_matrix_exits_1(capsys, argv):
+    assert main(list(argv)) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_integrate_malformed_density_exits_1(capsys):
     assert main(["integrate", "--prime", "3", "--density", "xx"]) == 1
     assert "parse error" in capsys.readouterr().err

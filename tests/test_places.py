@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,11 @@ def test_padic_witness_none_for_monic():
 def test_padic_witness_rejects_repeated_factor_when_non_monic():
     with pytest.raises(NotSquarefree):
         padic_witness(IntPolynomial((1, -4, 4)))  # (2x - 1)^2
+
+
+def test_padic_witness_names_the_primitive_part_it_tests():
+    with pytest.raises(NotSquarefree, match=r"^4\*x\^2 - 4\*x \+ 1 has a repeated factor$"):
+        padic_witness(IntPolynomial((2, -8, 8)))  # 2 (2x - 1)^2
 
 
 def test_find_witness_trichotomy_cases():
@@ -302,6 +308,25 @@ def test_archimedean_witness_falls_back_to_one_isolation(monkeypatch):
     assert len(calls) == 1
     assert cert.modulus_squared.lo > 1
     assert verify_witness_certificate(cert)
+
+
+def test_archimedean_witness_computes_one_modulus_squared(monkeypatch):
+    calls = []
+    real = ComplexBox.mod_squared_interval
+    monkeypatch.setattr(ComplexBox, "mod_squared_interval", lambda b: calls.append(b) or real(b))
+    import padicorder.places as places
+
+    cert = places.archimedean_witness(LEHMER)
+    assert calls == [cert.place.root_box]
+
+
+def test_verify_rejects_archimedean_repeated_factor_and_unknown_kind():
+    cert = find_witness(AlgebraicNumberSpec.from_poly(LEHMER)).certificate
+    assert verify_witness_certificate(cert)
+    squared = replace(cert, alpha=AlgebraicNumberSpec(LEHMER * LEHMER))
+    assert not verify_witness_certificate(squared)
+    unknown = replace(cert, place=replace(cert.place, kind="archimedian"))
+    assert not verify_witness_certificate(unknown)
 
 
 def parity_inputs():
