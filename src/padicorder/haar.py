@@ -27,7 +27,7 @@ from sympy.polys.rings import ring
 
 from .errors import DepthZero, MaxPrecisionExceeded, NonIntegralDensity, NonUnitJacobian
 from .intervals import RationalInterval, p_power_enclosure
-from .padic import padic_valuation, rational_valuation, INF, _check_prime
+from .padic import rational_valuation, INF, _check_prime
 
 
 # --- multivariate polynomials over Q ---------------------------------------
@@ -231,8 +231,11 @@ def integrate(
     where it is below D, and residue 0 is read as V = D, meaning v_p >= D.
 
     The walk tallies, per valuation v < D, the exact measure of {v_p(f) = v}
-    and, under key D, that of {v_p(f) >= D}; then each tally is scaled by
-    one enclosure of p^(-v/m), the key-D one by [0, p^(-D/m)].  A depth-k
+    and, under key D, that of {v_p(f) >= D}; then each tally is weighted by
+    the cached enclosure of p^(-v/m), the key-D one by [0, p^(-D/m)], and
+    the weighted tallies are summed as ints over one denominator (the lcm
+    of the enclosure denominators times p^(nD)): the same exact endpoints
+    as a sum of one interval per tally.  A depth-k
     cylinder C = a + p^k Zp^n with V < k has v_p(f) = V on C.  For k >= 1,
     Taylor's formula for integer f gives f(a + p^k y) = f(a) + p^k grad f(a).y
     + p^(2k) * (integer polynomial); with w = min_i v_p(d_i f(a)), capped at
@@ -263,20 +266,27 @@ def integrate(
     D, q = max_depth, p**max_depth
     lcm = math.lcm(*(c.denominator for _, c in f.terms))
     terms = [(e, c.numerator * (lcm // c.denominator) % q) for e, c in f.terms]
-    grads = [
+    polys = [terms] + [
         [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i] % q) for e, c in terms if e[i]]
         for i in range(n)
     ]
+    # f and its partials as (coefficient, (index, power) pairs of the powers > 0)
+    terms, *grads = [[(c, tuple((i, j) for i, j in enumerate(e) if j)) for e, c in g] for g in polys]
 
     def val(poly, a):  # v_p(poly(a)), capped at D
         value = 0
-        for e, c in poly:
-            for x, j in zip(a, e):
-                if j:
-                    c *= pow(x, j, q)
+        for c, powers in poly:
+            for i, j in powers:
+                c *= pow(a[i], j, q)
             value += c
         value %= q
-        return padic_valuation(value, p) if value else D
+        if not value:
+            return D
+        v = 0
+        while not value % p:
+            value //= p
+            v += 1
+        return v
 
     center = tuple(c.numerator * pow(c.denominator, -1, q) % q for c in region.center)
     residues = list(itertools.product(range(p), repeat=n))
@@ -307,12 +317,13 @@ def integrate(
         cylinders += charge
         if cylinders > _MAX_CYLINDERS:
             raise MaxPrecisionExceeded(f"integral subdivides past {_MAX_CYLINDERS} cylinders")
-    total = RationalInterval.point(0)
-    for v, count in tally.items():
-        mu = Fraction(count, p ** (n * D))
-        e = p_power_enclosure(p, Fraction(-v, m), bits)
-        total = total + RationalInterval(0 if v == D else e.lo * mu, e.hi * mu)
-    return total * p_power_enclosure(p, Fraction(t, m), bits)
+    encs = [(count, p_power_enclosure(p, Fraction(-v, m), bits), v) for v, count in tally.items()]
+    den = math.lcm(*(x.denominator for _, e, _ in encs for x in (e.lo, e.hi)))
+    lo = sum(count * e.lo.numerator * (den // e.lo.denominator) for count, e, v in encs if v < D)
+    hi = sum(count * e.hi.numerator * (den // e.hi.denominator) for count, e, _ in encs)
+    den *= p ** (n * D)  # the tallies are measures times p^(nD)
+    s = p_power_enclosure(p, Fraction(t, m), bits)
+    return RationalInterval(Fraction(lo, den) * s.lo, Fraction(hi, den) * s.hi)
 
 
 def pushforward_cylinder_measure(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import integer_nthroot
 
@@ -78,6 +79,7 @@ def kth_root_enclosure(r: Fraction, k: int, scale_bits: int) -> RationalInterval
     return RationalInterval(lo, hi)
 
 
+@lru_cache(maxsize=1024)  # pure, with frozen results: each is computed once per process
 def p_power_enclosure(p: int, exponent: Fraction, scale_bits: int) -> RationalInterval:
     """Enclosure of p**exponent for a rational exponent; exact when integral."""
     exponent = Fraction(exponent)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicorder import haar
 from padicorder.intervals import kth_root_enclosure, p_power_enclosure
 
 
@@ -71,3 +72,18 @@ def test_p_power_enclosure():
     e = p_power_enclosure(5, Fraction(-3, 2), 40)
     assert e == kth_root_enclosure(Fraction(1, 125), 2, 40)
     assert e.lo**2 < Fraction(1, 125) < e.hi**2
+
+
+def test_p_power_enclosure_cache_equals_uncached():
+    rng = random.Random("p-power-cache")
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7])
+        exponent = Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+        bits = rng.choice([32, 64, haar._scale_bits(p, rng.randint(1, 12))])
+        fresh = p_power_enclosure.__wrapped__(p, exponent, bits)
+        # the first call may compute or hit the cache; the second one hits it
+        assert p_power_enclosure(p, exponent, bits) == fresh
+        hits = p_power_enclosure.cache_info().hits
+        assert p_power_enclosure(p, exponent, bits) == fresh
+        assert p_power_enclosure.cache_info().hits == hits + 1
+    assert 0 < p_power_enclosure.cache_info().maxsize <= 4096
