@@ -1,6 +1,9 @@
 """Batch command-line front end.
 
-Subcommands: order, witness, integrate, measure, tile, verify.
+Subcommands: order, witness, integrate, measure, tile, verify; each
+subparser names its handler.  verify re-checks every document that
+--json emits, by its `kind`, which must be one of the five document
+kinds; only a document without the key is read as an older witness one.
 Exit codes are a function of the verdict only: 0 for finite order /
 root of unity / balanced ledger / valid certificate, 2 for infinite
 order / witness / imbalance / invalid certificate, 1 for input errors.
@@ -182,19 +185,23 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
-    if args.dim > 999:  # integrate's bound, checked before the center is built
-        raise ValueError(f"dimension {args.dim} must be 1 to 999")
-    region = _region_from_args(args, args.prime, args.dim)
-    mu = cylinder_measure(region)
-    doc = {
+def _measure_doc(p: int, dim: int, depth: int) -> dict:
+    if dim > 999:  # integrate's bound, checked before a center is built
+        raise ValueError(f"dimension {dim} must be 1 to 999")
+    region = Cylinder(p, dim, (Fraction(0),) * dim, depth)
+    return {
         "kind": "measure",
-        "prime": args.prime,
-        "depth": region.depth,
-        "dim": region.dimension,
-        "measure": _frac_str(mu),
+        "prime": p,
+        "depth": depth,
+        "dim": dim,
+        "measure": _frac_str(cylinder_measure(region)),
     }
-    _emit(doc, args.json, [f"measure = {_frac_str(mu)}"])
+
+
+def cmd_measure(args) -> int:
+    doc = _measure_doc(args.prime, args.dim, args.region_depth)
+    _region_from_args(args, args.prime, args.dim)  # the center must fit, though mu ignores it
+    _emit(doc, args.json, [f"measure = {doc['measure']}"])
     return 0
 
 
@@ -272,6 +279,11 @@ def _verify_tile_doc(doc: dict) -> bool:
     return _same_json(_tile_doc(*args), doc)
 
 
+def _verify_measure_doc(doc: dict) -> bool:
+    args = _int(doc["prime"]), _int(doc["dim"]), _int(doc["depth"])
+    return _same_json(_measure_doc(*args), doc)
+
+
 def _verify_integral_doc(doc: dict) -> bool:
     f = parsing.parse_multipoly(doc["density"], _int(doc["region"]["dim"]))
     region = Cylinder(
@@ -293,13 +305,14 @@ def cmd_verify(args) -> int:
         with open(args.file) as fh:
             doc = json.load(fh)
     kind = None
-    if isinstance(doc, dict):
-        kind = doc.get("kind") or ("witness" if "case" in doc else None)
+    if isinstance(doc, dict):  # older witness documents carry no kind
+        kind = doc["kind"] if "kind" in doc else ("witness" if "case" in doc else None)
     checkers = {
         "order": _verify_order_doc,
         "witness": _verify_witness_doc,
         "tile": _verify_tile_doc,
         "integral": _verify_integral_doc,
+        "measure": _verify_measure_doc,
     }
     if not isinstance(kind, str) or kind not in checkers:
         print(f"unknown certificate kind {kind!r}", file=sys.stderr)
@@ -335,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_order = sub.add_parser("order", help="finite/infinite order in PGL")
+    p_order.set_defaults(handler=cmd_order)
     group = p_order.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", help="rows of rationals, e.g. '1,1;0,1'")
     group.add_argument(
@@ -344,9 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_wit = sub.add_parser("witness", help="root-of-unity test / |alpha|>1 witness")
+    p_wit.set_defaults(handler=cmd_witness)
     p_wit.add_argument("poly", help="defining polynomial: '[c0,...,cn]' or 'x^2 - x + 1'")
 
     p_int = sub.add_parser("integrate", help="certified integral of |f|^(1/m)")
+    p_int.set_defaults(handler=cmd_integrate)
     p_int.add_argument("--prime", type=int, required=True)
     p_int.add_argument("--density", required=True, help="polynomial in x or x1..xn")
     p_int.add_argument("--root-index", type=int, default=1, dest="root_index")
@@ -356,30 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--region-depth", type=int, default=0, dest="region_depth")
 
     p_meas = sub.add_parser("measure", help="exact cylinder measure")
+    p_meas.set_defaults(handler=cmd_measure)
     p_meas.add_argument("--prime", type=int, required=True)
     p_meas.add_argument("--dim", type=int, default=1)
     p_meas.add_argument("--center", default=None)
     p_meas.add_argument("--region-depth", type=int, default=0, dest="region_depth")
 
     p_tile = sub.add_parser("tile", help="exact shell-tiling ledger")
+    p_tile.set_defaults(handler=cmd_tile)
     p_tile.add_argument("--prime", type=int, required=True)
     p_tile.add_argument("--scale", type=int, required=True, help="s with |alpha| = p^s")
     p_tile.add_argument("--range", type=int, required=True, help="check N in [-M, M]")
 
     p_ver = sub.add_parser("verify", help="re-check an emitted JSON certificate")
+    p_ver.set_defaults(handler=cmd_verify)
     p_ver.add_argument("file", help="certificate file, or '-' for stdin")
 
     return ap
-
-
-_COMMANDS = {
-    "order": cmd_order,
-    "witness": cmd_witness,
-    "integrate": cmd_integrate,
-    "measure": cmd_measure,
-    "tile": cmd_tile,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -388,7 +397,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -7,9 +7,9 @@ integrals are computed by residue-class subdivision on integers mod
 p^depth and returned as certified rational enclosures.  Subtrees on which
 v_p(f) is constant, or where grad f is a p-adic unit (Hensel's lemma), are
 counted in closed form from Taylor's formula instead of being visited; see
-integrate.  The right side of
-the substitution identity, f(phi(x)) * det J(x)^m, and the Jacobian
-determinant are built in sympy's sparse ring QQ[x1..xn].
+integrate, which pushforward_cylinder_measure sums over residue classes.
+The right side of the substitution identity, f(phi(x)) * det J(x)^m, and
+the Jacobian determinant are built in sympy's sparse ring QQ[x1..xn].
 """
 
 from __future__ import annotations
@@ -331,36 +331,24 @@ def pushforward_cylinder_measure(
 ) -> RationalInterval:
     """Enclosure of the integral of the density over pi^(-1)(base) inter Zp^n.
 
-    For p-integral components, pi(x) = pi(a) mod p^k on a depth-k source
-    cylinder, so membership of the whole cylinder in the preimage is
-    decided exactly once the source depth reaches the base depth; there
-    are no boundary cylinders.
+    For p-integral components, pi(x) = pi(a) mod p^b on a source cylinder
+    a + p^b Zp^n, b the base depth, so each of its p^(n*b) residue classes
+    lies wholly inside or outside the preimage: one pass sums integrate
+    over those inside, and more than _MAX_CYLINDERS classes raise
+    MaxPrecisionExceeded.
     """
-    p = base_cyl.prime
+    p, n, b = base_cyl.prime, pi.source_dim, base_cyl.depth
     if pi.target_dim != base_cyl.dimension:
         raise ValueError("map target dimension does not match base cylinder")
     if any(c.min_p_valuation(p) < 0 for c in pi.components):
         raise NonIntegralDensity("map components must be p-integral")
-    source = Cylinder.unit_polydisc(p, pi.source_dim)
-
-    def in_base(point) -> bool:
-        img = pi(point)
-        for y, c in zip(img, base_cyl.center):
-            if y != c and rational_valuation(y - c, p) < base_cyl.depth:
-                return False
-        return True
-
-    def split(cyl: Cylinder) -> RationalInterval:
-        if cyl.depth >= base_cyl.depth:
-            if not in_base(cyl.center):
-                return RationalInterval.point(0)
-            return integrate(d, cyl, max_depth)
-        total = RationalInterval.point(0)
-        for child in cyl.children():
-            total = total + split(child)
-        return total
-
-    return split(source)
+    if n * b > 20 or p ** (n * b) > _MAX_CYLINDERS:  # n*b > 20 gives 2^(n*b) > 2^20
+        raise MaxPrecisionExceeded(f"{p}^{n * b} source cylinders exceed {_MAX_CYLINDERS}")
+    total = RationalInterval.point(0)
+    for a in itertools.product(range(p**b), repeat=n):
+        if all(rational_valuation(y - c, p) >= b for y, c in zip(pi(a), base_cyl.center)):
+            total = total + integrate(d, Cylinder(p, n, a, b), max_depth)
+    return total
 
 
 def _measure_preserving(phi: PolyMap, det, p: int) -> bool:

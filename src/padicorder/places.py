@@ -20,11 +20,12 @@ from functools import lru_cache
 
 from sympy import factorint, isprime
 
-from .algnum import AlgebraicNumberSpec, UNCHECKED
+from .algnum import AlgebraicNumberSpec
 from .errors import MaxPrecisionExceeded, NotSquarefree, ZeroRoot
 from .intervals import RationalInterval, kth_root_enclosure, p_power_enclosure
 from .intpoly import (
     PROVEN,
+    UNKNOWN,
     IntPolynomial,
     cyclotomic,
     euler_phi,
@@ -129,31 +130,27 @@ def _rational_sqrt_lower(m2_lo: Fraction) -> Fraction:
 
 
 def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
-    """Non-archimedean witness via Newton polygons at primes dividing the
-    leading coefficient; None iff f is monic up to sign (algebraic integer).
-    Raises NotSquarefree for non-monic f with a repeated factor.
+    """Non-archimedean witness from the first rising Newton segment at the
+    least prime p of lc(g), g the primitive part, whose hull at any prime
+    of lc(g) ends rising since some coefficient is a p-unit; None iff f is
+    monic up to sign (algebraic integer).  Raises NotSquarefree for
+    non-monic f with a repeated factor.
     """
     g = f.primitive_part()
     if g.leading == 1:
         return None
     if not is_squarefree(g):
         raise NotSquarefree(f"{g} has a repeated factor")
-    for p in sorted(factorint(g.leading)):
-        np = newton_polygon(g, p)
-        for idx, (slope, _length) in enumerate(np.segments):
-            if slope > 0:
-                place = Place(
-                    kind="non_archimedean", prime=p, slope=slope, segment_index=idx
-                )
-                return WitnessCertificate(
-                    alpha=AlgebraicNumberSpec(g),
-                    place=place,
-                    norm_bound=p_power_enclosure(p, slope, 32).lo,
-                    exact_norm=PPower(p, -slope),  # value p^slope > 1
-                    conditionality=conditionality,
-                )
-    # a primitive non-monic polynomial always has a rising hull segment
-    raise AssertionError("no positive slope found for non-monic primitive input")
+    p = min(factorint(g.leading))
+    segments = newton_polygon(g, p).segments
+    idx, slope = next((i, s) for i, (s, _) in enumerate(segments) if s > 0)
+    return WitnessCertificate(
+        alpha=AlgebraicNumberSpec(g),
+        place=Place(kind="non_archimedean", prime=p, slope=slope, segment_index=idx),
+        norm_bound=p_power_enclosure(p, slope, 32).lo,
+        exact_norm=PPower(p, -slope),  # value p^slope > 1
+        conditionality=conditionality,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +371,7 @@ def witness_result_to_doc(result) -> dict:
 def witness_cert_from_doc(doc: dict) -> WitnessCertificate:
     """Parse a witness document; raises ValueError for an unknown place type."""
     f = IntPolynomial.from_coeffs([_int(c) for c in doc["alpha_poly"]])
-    alpha = AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNCHECKED))
+    alpha = AlgebraicNumberSpec(f, None, doc.get("irreducibility", UNKNOWN))
     place_doc, norm_doc = doc["place"], doc["norm_bound"]
     common = dict(
         conditionality=doc["conditionality"],

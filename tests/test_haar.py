@@ -181,6 +181,39 @@ def test_pushforward_identity_consistency():
     assert via_push.intersects(direct)
 
 
+def test_pushforwards_over_a_base_partition_sum_to_the_integral():
+    """The preimages of the p^(m*b) depth-b base cylinders partition Zp^n,
+    and each enclosure is built from exact measures, so the pushforwards
+    add up to integrate over Zp^n with equal endpoints."""
+    rng = random.Random(1607)
+    checked = 0
+    while checked < 12:
+        p, n, m, b = rng.choice((2, 3, 5)), rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 2)
+        if p ** (max(n, m) * b) > 64:
+            continue
+        pi = PolyMap(tuple(_random_poly(rng, n, 2, lambda deg: rng.randint(-6, 6)) for _ in range(m)))
+        f = _random_poly(rng, n, 2, lambda deg: rng.randint(-6, 6))
+        if f.is_zero:
+            continue
+        d, depth = PolyDensity(f, rng.randint(1, 2)), b + rng.randint(1, 3)
+        total = RationalInterval.point(0)
+        for center in itertools.product(range(p**b), repeat=m):
+            total = total + pushforward_cylinder_measure(pi, Cylinder(p, m, center, b), d, depth)
+        whole = integrate(d, Cylinder.unit_polydisc(p, n), depth)
+        assert (total.lo, total.hi) == (whole.lo, whole.hi), (p, n, m, b)
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "p,n,b", [(2, 1, 21), (5, 2, 5), (3, 1, 10**6), (2**61 - 1, 1, 1), (2, 2, 11)]
+)
+def test_pushforward_refuses_more_than_2_20_source_classes(deadline, p, n, b):
+    pi = PolyMap.identity(n)
+    base = Cylinder(p, n, (Fraction(0),) * n, b)
+    with deadline(1), pytest.raises(MaxPrecisionExceeded, match="source cylinders"):
+        pushforward_cylinder_measure(pi, base, PolyDensity(MultiPoly.constant(n, 1), 1), b + 1)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_change_of_variables_translation_and_unit(p):
     # phi(x) = u*x + c with u a unit: exact measure preservation.

@@ -1,6 +1,7 @@
 """Newton polygons, witness certificates, product formula, serialization."""
 
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from padicorder import (
     WitnessCertificate,
     ZeroRoot,
     PROVEN,
+    UNKNOWN,
     cyclotomic,
     euler_phi,
     find_witness,
@@ -78,6 +80,43 @@ def test_padic_witness_rejects_repeated_factor_when_non_monic():
 def test_padic_witness_names_the_primitive_part_it_tests():
     with pytest.raises(NotSquarefree, match=r"^4\*x\^2 - 4\*x \+ 1 has a repeated factor$"):
         padic_witness(IntPolynomial((2, -8, 8)))  # 2 (2x - 1)^2
+
+
+def _least_prime_factor(n):
+    return next((q for q in range(2, math.isqrt(n) + 1) if n % q == 0), n)
+
+
+def test_padic_witness_uses_the_least_prime_of_the_leading_coefficient():
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 1000:
+        deg = rng.randint(1, 8)
+        lead = rng.choice((-1, 1)) * rng.randint(2, 10**6)
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 30)]
+        coeffs += [rng.randint(-30, 30) for _ in range(deg - 1)] + [lead]
+        g = IntPolynomial.from_coeffs(coeffs).primitive_part()
+        if g.leading == 1 or not is_squarefree(g):
+            continue
+        cert = padic_witness(g)
+        p = _least_prime_factor(g.leading)
+        segments = newton_polygon(g, p).segments
+        first_rising = next(i for i, (s, _) in enumerate(segments) if s > 0)
+        assert (cert.place.prime, cert.place.segment_index) == (p, first_rising), coeffs
+        assert verify_witness_certificate(cert), coeffs
+        checked += 1
+
+
+def test_verifier_accepts_a_rising_segment_at_any_prime_of_the_leading_coefficient():
+    cert = padic_witness(IntPolynomial((1, 1, 6)))  # 6x^2 + x + 1
+    assert cert.place.prime == 2
+    # at 3 the valuations (0, 0, 1) rise by 1 on the second segment
+    at_3 = replace(
+        cert,
+        place=Place(kind="non_archimedean", prime=3, slope=Fraction(1), segment_index=1),
+        norm_bound=Fraction(3),
+        exact_norm=PPower(3, Fraction(-1)),
+    )
+    assert verify_witness_certificate(at_3)
 
 
 def test_find_witness_trichotomy_cases():
@@ -153,6 +192,13 @@ def test_proven_spec_needs_no_cyclotomic_peel_or_gcd(monkeypatch, f, kind):
         assert isinstance(result, RootOfUnity) and result.order == 12
     else:
         assert result.certificate.place.kind == kind
+
+
+def test_spec_status_is_proven_or_unknown():
+    reducible = IntPolynomial((6, 0, -5, 0, 1))  # (x^2 - 2)(x^2 - 3)
+    assert AlgebraicNumberSpec.from_poly(reducible, prove=True).irreducibility_status == UNKNOWN
+    assert AlgebraicNumberSpec.from_poly(LEHMER).irreducibility_status == UNKNOWN
+    assert AlgebraicNumberSpec.from_poly(LEHMER, prove=True).irreducibility_status == PROVEN
 
 
 def test_find_witness_rejects_zero_root():

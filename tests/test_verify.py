@@ -32,6 +32,7 @@ HONEST_ARGV = {
         "integrate", "--prime", "2", "--density", "x^2 - 1", "--depth", "6",
         "--center", "0", "--region-depth", "1",
     ),
+    "measure": ("measure", "--prime", "5", "--dim", "2", "--region-depth", "1"),
 }
 
 
@@ -385,6 +386,19 @@ def test_integral_children_cap_is_a_verifier_limit(capsys, tmp_path, deadline):
 def test_non_object_is_unknown_kind(capsys, tmp_path, value):
     code, out = verify(capsys, tmp_path, value)
     assert code == 1 and "unknown certificate kind" in out
+
+
+@pytest.mark.parametrize("kind", ["", None, False, 0, []])
+def test_blank_kind_is_unknown_kind(capsys, tmp_path, honest_docs, kind):
+    # only a document without the key is read as an older witness document
+    doc = dict(honest_docs["witness_padic"], kind=kind)
+    code, out = verify(capsys, tmp_path, doc)
+    assert code == 1 and "unknown certificate kind" in out and "VALID" not in out
+
+
+def test_document_without_kind_is_read_as_witness(capsys, tmp_path, honest_docs):
+    doc = {k: v for k, v in honest_docs["witness_padic"].items() if k != "kind"}
+    assert verify(capsys, tmp_path, doc) == (0, "certificate VALID (witness)\n")
 
 
 def test_bad_json_exit_1(capsys, tmp_path):
