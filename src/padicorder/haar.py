@@ -9,7 +9,8 @@ v_p(f) is constant, or where grad f is a p-adic unit (Hensel's lemma), are
 counted in closed form from Taylor's formula instead of being visited; see
 integrate, which pushforward_cylinder_measure sums over residue classes.
 The right side of the substitution identity, f(phi(x)) * det J(x)^m, and
-the Jacobian determinant are built in sympy's sparse ring QQ[x1..xn].
+the Jacobian determinant are built in sympy's sparse ring QQ[x1..xn],
+imported only when change_of_variables_check needs it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.rings import ring
 
 from .errors import DepthZero, MaxPrecisionExceeded, NonIntegralDensity, NonUnitJacobian
 from .intervals import RationalInterval, p_power_enclosure
@@ -93,7 +90,7 @@ class MultiPoly:
 
 
 def _into_ring(r, f: MultiPoly):
-    return r.from_dict({e: QQ(c.numerator, c.denominator) for e, c in f.terms})
+    return r.from_dict({e: r.domain(c.numerator, c.denominator) for e, c in f.terms})
 
 
 def _out_of_ring(nvars: int, g) -> MultiPoly:
@@ -104,6 +101,10 @@ def _out_of_ring(nvars: int, g) -> MultiPoly:
 
 def _ring_jacobian(phi: "PolyMap"):
     """phi's components and det J in sympy's sparse ring QQ[x1..xn]."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.rings import ring
+
     if phi.target_dim != phi.source_dim:
         raise ValueError("Jacobian determinant needs a square map")
     n = phi.source_dim

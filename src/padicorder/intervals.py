@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import integer_nthroot
-
 
 @dataclass(frozen=True, slots=True)
 class RationalInterval:
@@ -61,6 +59,17 @@ class RationalInterval:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton iteration
+    from 2^ceil(bits(n)/k) >= n^(1/k), whose iterates fall to the floor."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def kth_root_enclosure(r: Fraction, k: int, scale_bits: int) -> RationalInterval:
     """Dyadic enclosure of r**(1/k) with width <= 2**(-scale_bits).
 
@@ -73,7 +82,7 @@ def kth_root_enclosure(r: Fraction, k: int, scale_bits: int) -> RationalInterval
     s = 1 << scale_bits
     # floor(r^(1/k) * s) = floor((r.num * s^k / r.den)^(1/k))
     n = r.numerator * s**k
-    lo_int = integer_nthroot(n // r.denominator, k)[0]
+    lo_int = _iroot(n // r.denominator, k)
     lo = Fraction(lo_int, s)
     hi = lo if lo**k == r else Fraction(lo_int + 1, s)
     return RationalInterval(lo, hi)

@@ -2,11 +2,11 @@
 exact irreducibility over Q.
 
 Polynomials are dense tuples of integer coefficients in ascending order,
-``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Exact division, and the
-squarefree and irreducibility tests mod the primes 2-13, run on Python ints;
-those tests settle most input, gcd(f, f') and Zassenhaus over Z the rest.
-Gcds and cyclotomic polynomials use sympy's dense routines over ZZ, Euler's
-phi sympy's factorint.
+``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Products, exact
+division, cyclotomic polynomials, Euler's phi, and the squarefree and
+irreducibility tests mod the primes 2-13 run on Python ints; those tests
+settle most input, gcd(f, f') and Zassenhaus over Z the rest. Gcds and
+Zassenhaus use sympy's dense routines over ZZ, imported on first use.
 """
 
 from __future__ import annotations
@@ -14,12 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from sympy import factorint
-from sympy.polys.densearith import dup_mul
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
 
 from .errors import NotSquarefree
 
@@ -88,7 +82,11 @@ class IntPolynomial:
         return IntPolynomial(tuple(c * sign // g for c in self.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(reversed(dup_mul(_dense(self), _dense(other), ZZ)))
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPolynomial(tuple(out))
 
     def exact_div(self, divisor: "IntPolynomial"):
         """Exact quotient over Z, or None when the division does not come out even."""
@@ -125,6 +123,9 @@ class IntPolynomial:
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Z with positive leading coefficient."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
     gcd = dup_gcd(_dense(f), _dense(g), ZZ)
     return IntPolynomial.from_coeffs(reversed(gcd)).primitive_part()
 
@@ -138,19 +139,44 @@ def is_squarefree(f: IntPolynomial) -> bool:
     return f.is_constant() or poly_gcd(f, f.derivative()).is_constant()
 
 
+def _prime_divisors(d: int) -> list[int]:
+    """The distinct primes of d >= 1 in increasing order, by trial division."""
+    primes, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return primes + [d] if d > 1 else primes
+
+
+def _inflate(h: IntPolynomial, k: int) -> IntPolynomial:
+    """h(x^k)."""
+    coeffs = [0] * (h.degree * k + 1)
+    coeffs[::k] = h.coeffs
+    return IntPolynomial(tuple(coeffs))
+
+
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     if d < 1:
         raise ValueError("d must be positive")
-    return math.prod(p ** (k - 1) * (p - 1) for p, k in factorint(d).items())
+    primes = _prime_divisors(d)
+    return d // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial Phi_d."""
+    """The d-th cyclotomic polynomial: h <- h(x^p) / h from h = x - 1 over
+    the distinct primes p of d gives Phi_rad(d), and Phi_d = h(x^(d/rad d))."""
     if d < 1:
         raise ValueError("d must be positive")
-    return IntPolynomial.from_coeffs(reversed(dup_zz_cyclotomic_poly(d, ZZ)))
+    primes = _prime_divisors(d)
+    h = IntPolynomial((-1, 1))
+    for p in primes:
+        h = _inflate(h, p).exact_div(h)
+    return _inflate(h, d // math.prod(primes))
 
 
 def factor_out_cyclotomics(f: IntPolynomial):
@@ -280,5 +306,14 @@ def check_irreducible(f: IntPolynomial) -> str:
             allowed &= _degree_set(g.coeffs, p)
     if n >= 1 and allowed == proof:
         return PROVEN
+    return PROVEN if _factor_multiplicities(g) == [1] else UNKNOWN
+
+
+def _factor_multiplicities(g: IntPolynomial) -> list[int]:
+    """The multiplicities of the irreducible factors of g over Z, from
+    sympy's Zassenhaus factorization."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
     _, factors = dup_factor_list(_dense(g), ZZ)
-    return PROVEN if [m for _, m in factors] == [1] else UNKNOWN
+    return [m for _, m in factors]

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import factorint, isprime
-
 from .algnum import AlgebraicNumberSpec
 from .errors import MaxPrecisionExceeded, NotSquarefree, ZeroRoot
 from .intervals import RationalInterval, kth_root_enclosure, p_power_enclosure
@@ -33,7 +31,7 @@ from .intpoly import (
     root_of_unity_order,
 )
 from .isolation import ComplexBox, isolate_outermost, isolate_roots, isolates_one_root
-from .padic import PPower, padic_valuation
+from .padic import PPower, _is_prime, padic_valuation
 
 UNCONDITIONAL = "Unconditional"
 CONDITIONAL = "ConditionalOnIrreducibility"
@@ -129,6 +127,20 @@ def _rational_sqrt_lower(m2_lo: Fraction) -> Fraction:
         bits *= 2
 
 
+def _least_prime(n: int) -> int:
+    """The least prime factor of n > 1, by trial division below 2^10 (n
+    itself once p^2 > n); sympy's factorint only when no prime below 2^10
+    divides n, since factoring all of a huge n can take hours."""
+    for p in range(2, 1 << 10):
+        if p * p > n:
+            return n
+        if n % p == 0:
+            return p
+    from sympy import factorint
+
+    return min(factorint(n))
+
+
 def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
     """Non-archimedean witness from the first rising Newton segment at the
     least prime p of lc(g), g the primitive part, whose hull at any prime
@@ -141,7 +153,7 @@ def padic_witness(f: IntPolynomial, conditionality: str = UNCONDITIONAL):
         return None
     if not is_squarefree(g):
         raise NotSquarefree(f"{g} has a repeated factor")
-    p = min(factorint(g.leading))
+    p = _least_prime(g.leading)
     segments = newton_polygon(g, p).segments
     idx, slope = next((i, s) for i, (s, _) in enumerate(segments) if s > 0)
     return WitnessCertificate(
@@ -234,6 +246,8 @@ def find_witness(alpha: AlgebraicNumberSpec):
 
 def product_formula_check(r) -> bool:
     """|r| * prod over p of |r|_p == 1 for a nonzero rational, exactly."""
+    from sympy import factorint
+
     r = Fraction(r)
     if r == 0:
         raise ValueError("r must be nonzero")
@@ -260,7 +274,7 @@ def verify_witness_certificate(cert: WitnessCertificate) -> bool:
         return False
     if cert.place.kind == "non_archimedean":
         p, slope, idx = cert.place.prime, cert.place.slope, cert.place.segment_index
-        if not isprime(p) or f.leading % p != 0:
+        if not _is_prime(p) or f.leading % p != 0:
             return False
         np = newton_polygon(f, p)
         if idx is None or not 0 <= idx < len(np.segments):

@@ -14,12 +14,13 @@ x^k mod mp_A is a constant.  Infinite order comes with a re-checkable
 reason: a repeated factor of mp (non-semisimplicity), or a local-field
 witness that some eigenvalue of N lies off the unit circle.
 
-A's determinant and Krylov products and the fraction-free echelon forms
-that find linear relations run on sympy's DomainMatrix over ZZ.  No
-decision calls the Fraction helpers identity_matrix, mat_mul, mat_pow,
-mat_inv, mat_det, is_scalar_matrix, kron and transpose, nor
-conjugation_operator or linear_order: the tests use them as independent
-references, and bench/bench_trace.py wraps the last two by name.
+A's determinant (Bareiss' fraction-free elimination), its Krylov vectors
+and the fraction-free reduction that finds their first linear relation
+run on lists of Python ints.  No decision calls the Fraction helpers
+identity_matrix, mat_mul, mat_pow, mat_inv, mat_det, is_scalar_matrix,
+kron and transpose, nor conjugation_operator or linear_order: the tests
+use them as independent references, and bench/bench_trace.py wraps the
+last two by name.  mat_inv and mat_det import sympy's DomainMatrix on use.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-
-from sympy import QQ, ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+from itertools import chain, islice, zip_longest
 
 from .algnum import AlgebraicNumberSpec
 from .intpoly import (
@@ -90,7 +87,10 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return out
 
 
-def _qq_matrix(rows) -> DomainMatrix:
+def _qq_matrix(rows):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
     m = as_matrix(rows)
     entries = [[QQ(x.numerator, x.denominator) for x in row] for row in m]
     return DomainMatrix(entries, (len(m), len(m)), QQ)
@@ -101,6 +101,8 @@ def _fraction(x) -> Fraction:
 
 
 def mat_inv(a: Matrix) -> Matrix:
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
     try:
         inv = _qq_matrix(a).inv()
     except DMNonInvertibleMatrixError:
@@ -143,12 +145,29 @@ def conjugation_operator(m: Matrix) -> Matrix:
 # --- minimal polynomials ----------------------------------------------------
 
 
-def _integer_matrix(rows) -> tuple[DomainMatrix, int]:
-    """M = A / D: A over ZZ, D the lcm of M's denominators."""
+def _integer_matrix(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """M = A / D: A's rows as Python ints, D the lcm of M's denominators."""
     m = as_matrix(rows)
     den = math.lcm(*(x.denominator for row in m for x in row))
-    entries = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-    return DomainMatrix(entries, (len(m), len(m)), ZZ), den
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m), den
+
+
+def _det(a) -> int:
+    """det A by Bareiss' fraction-free elimination: after step k every entry
+    of the trailing block is a (k+1)-minor of A, so each division is exact."""
+    a = [list(row) for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _substitute(f: IntPolynomial, c: Fraction | int) -> IntPolynomial:
@@ -158,29 +177,44 @@ def _substitute(f: IntPolynomial, c: Fraction | int) -> IntPolynomial:
     return IntPolynomial(coeffs).primitive_part()
 
 
-def _first_relation(columns: DomainMatrix) -> IntPolynomial:
-    """The first relation sum a_i c_i = 0 among integer Krylov columns c_0, c_1, ...
-    as a primitive integer polynomial sum a_i x^i: the fraction-free echelon form,
-    den times the reduced one, has pivots 0..k-1 and column k holds den c_k."""
-    rref, den, pivots = columns.rref_den(method="FF")
-    k = len(pivots)
-    coeffs = [-row[k] for row in rref.to_list()[:k]] + [den]
-    return IntPolynomial.from_coeffs(coeffs).primitive_part()
+def _first_relation(vectors) -> IntPolynomial:
+    """The first relation sum a_i v_i = 0 among integer vectors v_0, v_1, ...
+    as a primitive integer polynomial sum a_i x^i.  Each v and its combination
+    c of the v_i are reduced against the earlier ones, v <- b_piv v - v_piv b
+    (c alike), and divided by their content; the first v reaching 0 ends it."""
+    basis = []  # (pivot index, reduced vector, its combination)
+    for k, v in enumerate(vectors):
+        c = [0] * k + [1]
+        for piv, b, cb in basis:
+            if v[piv]:
+                s, t = b[piv], v[piv]
+                v = [s * x - t * y for x, y in zip(v, b)]
+                c = [s * x - t * y for x, y in zip_longest(c, cb, fillvalue=0)]
+        g = math.gcd(*v, *c)
+        v, c = [x // g for x in v], [x // g for x in c]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return IntPolynomial(tuple(c)).primitive_part()
+        basis.append((piv, v, c))
+    raise ValueError("the vectors are independent")
 
 
-def minimal_polynomial(m) -> IntPolynomial:
+def _krylov(a, v: list[int]):
+    """v, A v, A^2 v, ... by integer matrix-vector products, made on demand."""
+    while True:
+        yield v
+        v = [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def minimal_polynomial(m, den: int | None = None) -> IntPolynomial:
     """Exact minimal polynomial of a rational matrix M = A / D as the
-    primitive integer polynomial prim(mp_A(D x)), mp_A from A's Krylov relations."""
-    a, den = _integer_matrix(m)
-    n = a.shape[0]
-    eye = DomainMatrix.eye(n, ZZ).to_dense()  # dense like A, so products need no unify
-    result = IntPolynomial.from_coeffs([1])
+    primitive integer polynomial prim(mp_A(D x)), mp_A from A's Krylov
+    relations.  With den given, m is already A as integer rows and D = den."""
+    a, den = _integer_matrix(m) if den is None else (m, den)
+    n = len(a)
     for i in range(n):
-        krylov = [eye[:, i]]
-        for _ in range(n):
-            krylov.append(a * krylov[-1])
-        ann = _first_relation(krylov[0].hstack(*krylov[1:]))
-        result = (result * ann).exact_div(poly_gcd(result, ann)).primitive_part()
+        ann = _first_relation(_krylov(a, [int(i == j) for j in range(n)]))
+        result = ann if i == 0 else (result * ann).exact_div(poly_gcd(result, ann)).primitive_part()
         if result.degree == n:
             break
     return _substitute(result, den)
@@ -225,10 +259,10 @@ class OrderVerdict:
 def projective_order(m) -> OrderVerdict:
     """Finite/infinite order of the class of M in PGL, with certificate."""
     a, den = _integer_matrix(m)
-    det = int(a.det())
+    det = _det(a)
     if det == 0:
         raise ValueError("matrix is singular")
-    mp = minimal_polynomial(m)
+    mp = minimal_polynomial(a, den)
     if not is_squarefree(mp):
         evidence = poly_gcd(mp, mp.derivative())
         return OrderVerdict(
@@ -236,11 +270,10 @@ def projective_order(m) -> OrderVerdict:
         )
     # in Q[A] = Q[x]/(mp_A), N = A^n / det A is x^n / det A: its minimal
     # polynomial is prim(R(det A x)), R the first relation among the x^(n j)
-    n, d = a.shape[0], mp.degree
+    n, d = len(a), mp.degree
     powers = _powers_of_x(_substitute(mp, Fraction(1, den)))
     seq = list(islice(powers, n * d + 1))
-    krylov = DomainMatrix(seq[::n], (d + 1, d), ZZ).transpose()
-    matched, rem = factor_out_cyclotomics(_substitute(_first_relation(krylov), det))
+    matched, rem = factor_out_cyclotomics(_substitute(_first_relation(seq[::n]), det))
     if rem.coeffs == (1,):
         # N^k = 1 makes M^(n k) = (det M)^k scalar, so the order divides n k;
         # M^k is scalar iff A^k is, iff x^k mod mp_A is a constant

@@ -119,6 +119,18 @@ def test_witness_modulus_past_the_largest_float(capsys, tmp_path):
     assert vcode == 0 and "certificate VALID" in vout
 
 
+def test_witness_semiprime_leading_coefficient_answers_at_once(capsys, tmp_path, deadline):
+    # lc = 2 p q for p, q the primes after 10^25 and 3 10^25: the witness
+    # needs only its least prime, and factoring all of lc would take hours
+    with deadline(2):
+        code, out, _ = run(capsys, "--json", "witness", "[1,1,600000000000000000000002120000000000000000000001742]")
+    assert code == 2 and json.loads(out)["place"]["prime"] == 2
+    path = tmp_path / "witness.json"
+    path.write_text(out)
+    vcode, vout, _ = run(capsys, "verify", str(path))
+    assert vcode == 0 and "certificate VALID" in vout
+
+
 def test_witness_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "witness", "x^^2")
     assert code == 1 and "parse error" in err

@@ -1,5 +1,9 @@
-"""The package's export list names what the package binds, once each."""
+"""The package's export list names what the package binds, once each, and
+importing it leaves sympy unloaded."""
 
+import os
+import subprocess
+import sys
 import types
 
 import padicorder
@@ -16,3 +20,32 @@ def test_export_list_resolves_without_duplicates():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert public == set(names)
+
+
+_IMPORT_PATH = """
+import sys
+import padicorder, padicorder.cli
+from padicorder import (
+    Cylinder, IntPolynomial, PolyDensity, check_irreducible, integrate,
+    padic_witness, projective_order, verify_witness_certificate,
+)
+from padicorder.parsing import parse_multipoly
+assert "sympy" not in sys.modules, "import"
+# P C P^-1 for C the companion of x^3 - x - 1 and P = [[1,2,0],[0,1,-1],[1,0,1]]
+assert not projective_order([[1, -2, 1], [-1, 1, 2], [2, -3, -2]]).is_finite
+assert "sympy" not in sys.modules, "projective_order"
+integrate(PolyDensity(parse_multipoly("x1*x2", 2), 1), Cylinder.unit_polydisc(2, 2), 8)
+assert "sympy" not in sys.modules, "integrate"
+assert verify_witness_certificate(padic_witness(IntPolynomial((5, -6, 5))))
+assert "sympy" not in sys.modules, "verify_witness_certificate"
+check_irreducible(IntPolynomial((1, 0, -10, 0, 1)))  # reducible mod every prime
+assert "sympy" in sys.modules, "Zassenhaus"
+"""
+
+
+def test_sympy_is_imported_only_where_zassenhaus_needs_it():
+    """Orders of companion matrices, Haar integrals and p-adic certificates
+    run without sympy; Zassenhaus imports it on first use."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

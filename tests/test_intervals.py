@@ -87,3 +87,14 @@ def test_p_power_enclosure_cache_equals_uncached():
         assert p_power_enclosure(p, exponent, bits) == fresh
         assert p_power_enclosure.cache_info().hits == hits + 1
     assert 0 < p_power_enclosure.cache_info().maxsize <= 4096
+
+
+def test_iroot_matches_integer_nthroot():
+    from sympy import integer_nthroot
+
+    from padicorder.intervals import _iroot
+
+    rng = random.Random(20261020)
+    for _ in range(20_000):
+        n, k = rng.getrandbits(rng.randint(0, 400)), rng.randint(1, 12)
+        assert _iroot(n, k) == integer_nthroot(n, k)[0], (n, k)

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.densearith import dup_rr_div
+from sympy import totient
+from sympy.polys.densearith import dup_mul, dup_rr_div
 from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_factor_list
+from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_irreducible_p, gf_sqf_p
 from sympy.polys.sqfreetools import dup_sqf_p
 
@@ -204,8 +205,8 @@ def test_check_irreducible_reducible_mod_every_prime(monkeypatch, f):
     proof = 1 | 1 << f.degree
     assert all(intpoly._degree_set(f.coeffs, p) != proof for p in intpoly._SIEVE_PRIMES)
     calls = []
-    real = intpoly.dup_factor_list
-    monkeypatch.setattr(intpoly, "dup_factor_list", lambda *a: calls.append(a) or real(*a))
+    real = intpoly._factor_multiplicities
+    monkeypatch.setattr(intpoly, "_factor_multiplicities", lambda *a: calls.append(a) or real(*a))
     assert check_irreducible(f) == PROVEN
     assert len(calls) == (f not in (LEHMER, SALEM10))
 
@@ -314,7 +315,7 @@ def _refuse(*args):
 
 def test_sieve_proves_without_zassenhaus(monkeypatch):
     irreducible = [f for f in _criterion_7() if _zassenhaus(f) == PROVEN]
-    monkeypatch.setattr(intpoly, "dup_factor_list", _refuse)
+    monkeypatch.setattr(intpoly, "_factor_multiplicities", _refuse)
     assert check_irreducible(IntPolynomial((-1, -1, 0, 1))) == PROVEN  # x^3 - x - 1
     assert check_irreducible(IntPolynomial((5, -6, 5))) == PROVEN
     proven = 0
@@ -370,7 +371,7 @@ def test_exact_div_outside_integer_polynomials():
     assert IntPolynomial((4,)).exact_div(IntPolynomial((1, 1))) is None
 
 
-# --- sympy's cyclotomic and squarefree routines against oracles --------------
+# --- cyclotomic and squarefree routines against oracles ----------------------
 
 
 def test_cyclotomic_matches_division_oracle():
@@ -447,6 +448,23 @@ def test_exact_div_matches_dup_rr_div_seeded():
         outcomes["higher"] += b.degree > a.degree
         outcomes["constant"] += b.is_constant()
     assert min(outcomes.values()) > 150, outcomes
+
+
+def test_mul_matches_dup_mul_seeded():
+    rng = random.Random(20261022)
+    for _ in range(2000):
+        a, b = _divisor(rng), _random_poly(rng, 0, 8)
+        expect = dup_mul(list(reversed(a.coeffs)), list(reversed(b.coeffs)), ZZ)
+        assert a * b == IntPolynomial.from_coeffs(reversed(expect)), (a, b)
+
+
+def test_cyclotomic_matches_dup_zz_cyclotomic_poly():
+    for d in range(1, 1001):
+        assert cyclotomic(d).coeffs == tuple(reversed(dup_zz_cyclotomic_poly(d, ZZ))), d
+
+
+def test_euler_phi_matches_totient():
+    assert all(euler_phi(d) == totient(d) for d in range(1, 20001))
 
 
 def test_is_squarefree_matches_dup_sqf_p_seeded():

@@ -1,5 +1,6 @@
 """p-adic valuations and the exact absolute values certificates carry."""
 
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from padicorder import (
     padic_witness,
     rational_valuation,
 )
+from padicorder import padic
 
 PRIMES = [2, 3, 5, 7]
 
@@ -110,3 +112,20 @@ def test_ultrametric_inequality(a, b, p):
 @settings(max_examples=150, deadline=None)
 def test_norm_multiplicative(a, b, p):
     assert rational_valuation(a * b, p) == rational_valuation(a, p) + rational_valuation(b, p)
+
+
+def test_is_prime_matches_sympy_isprime():
+    """Miller-Rabin to the first 13 prime bases against sympy's isprime:
+    every n below 2*10^5, 20,000 seeded n of 20-90 bits, Carmichael numbers,
+    strong pseudoprimes to small bases, Mersenne primes, and the values at
+    and just past the bound where the bases stop being known to suffice."""
+    from sympy import isprime
+
+    rng = random.Random(20261020)
+    bound = padic._MR_BOUND
+    special = [561, 41041, 3215031751, 3825123056546413051, 2**61 - 1, 2**89 - 1]
+    special += [bound - 2, bound - 1, bound, bound + 1, bound + 2, bound + 4]
+    draws = [rng.getrandbits(rng.randint(20, 90)) | 1 << 19 for _ in range(20_000)]
+    for n in [*range(200_000), *draws, *special]:
+        assert padic._is_prime(n) == isprime(n), n
+    assert not padic._is_prime(bound) and padic._is_prime(2**89 - 1)

@@ -5,9 +5,10 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from padicorder import (
@@ -471,6 +472,78 @@ def test_projective_order_runs_without_rational_echelon_forms(monkeypatch):
     monkeypatch.setattr(DomainMatrix, "to_field", refuse)
     for m, order in cases:
         assert projective_order(m).order == order
+
+
+# --- the Python-int kernels against DomainMatrix references -------------------
+
+
+def test_det_matches_domain_matrix_det():
+    """Bareiss against DomainMatrix.det on seeded integer matrices of size
+    1-8: dense ones, singular ones, and ones with a zero leading pivot."""
+    rng = random.Random(20261021)
+    counts = collections.Counter()
+    for i in range(1200):
+        n, kind = rng.randint(1, 8), i % 3
+        bound = 2 if kind else 99
+        a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if kind == 1:  # a row made a combination of the others: singular
+            c = [rng.randint(-2, 2) for _ in range(n)]
+            r = rng.randrange(n)
+            a[r] = [sum(c[i] * a[i][j] for i in range(n) if i != r) for j in range(n)]
+        elif kind == 2:  # the first pivot is zero, a later row must be swapped in
+            a[0][0] = 0
+        det = projaut._det(a)
+        assert det == DomainMatrix(a, (n, n), ZZ).det(), a
+        counts["singular" if det == 0 else "regular"] += 1
+        counts["zero pivot"] += a[0][0] == 0 and det != 0
+    assert min(counts.values()) >= 150, counts
+
+
+def _relation_by_rref_den(vectors):
+    """The first relation among the columns v_0..v_m, read off the
+    fraction-free echelon form: when v_0..v_(k-1) are independent and v_k
+    depends on them, the pivots are 0..k-1 and column k holds den v_k."""
+    cols = DomainMatrix([list(v) for v in vectors], (len(vectors), len(vectors[0])), ZZ).transpose()
+    rref, den, pivots = cols.rref_den(method="FF")
+    k = len(pivots)
+    coeffs = [-row[k] for row in rref.to_list()[:k]] + [den]
+    return IntPolynomial.from_coeffs(coeffs).primitive_part()
+
+
+def test_first_relation_matches_rref_den_on_krylov_sequences():
+    """Krylov sequences of the parity matrices' integer forms, derogatory
+    ones and eigenvectors (dependent at k = 1) among them, and of seeded
+    sparse integer matrices; each relation is found from the fewest vectors."""
+    rng = random.Random(20261022)
+    mats = [projaut._integer_matrix(m)[0] for m in parity_matrices(300)]
+    for n in [*range(1, 9)] * 40:
+        mats.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+    counts = collections.Counter()
+    for a in mats:
+        n = len(a)
+        for i in range(n):
+            e = [int(i == j) for j in range(n)]
+            drawn = []
+            relation = projaut._first_relation(drawn.append(v) or v for v in projaut._krylov(a, e))
+            assert len(drawn) == relation.degree + 1
+            expect = _relation_by_rref_den(list(islice(projaut._krylov(a, e), n + 1)))
+            assert relation == expect, (a, i)
+            k = relation.degree
+            counts["k = 1" if k == 1 else "rank-deficient" if k < n else "full"] += 1
+    assert min(counts.values()) >= 300, counts
+
+
+def test_first_relation_of_a_long_krylov_sequence_is_fast(deadline):
+    """Dividing out the content keeps the reduced vectors at the size of
+    their primitive forms; without it the entries double in length with
+    each vector."""
+    rng = random.Random(20261023)
+    n = 24
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    e = [1] + [0] * (n - 1)
+    with deadline(2):
+        relation = projaut._first_relation(projaut._krylov(a, e))
+    assert relation == _relation_by_rref_den(list(islice(projaut._krylov(a, e), n + 1)))
 
 
 def test_singular_matrix_raises():
