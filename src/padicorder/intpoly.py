@@ -5,8 +5,10 @@ Polynomials are dense tuples of integer coefficients in ascending order,
 ``c_0 + c_1 x + ... + c_n x^n`` with ``c_n != 0``. Products, exact
 division, cyclotomic polynomials, Euler's phi, and the squarefree and
 irreducibility tests mod the primes 2-13 run on Python ints; those tests
-settle most input, gcd(f, f') and Zassenhaus over Z the rest. Gcds and
-Zassenhaus use sympy's dense routines over ZZ, imported on first use.
+settle most input, gcd(f, f') and Zassenhaus over Z the rest. Gcds are
+primitive remainder sequences, and Zassenhaus is Berlekamp's factorization
+mod p, quadratic Hensel lifting and a search over factor subsets, all on
+Python ints too, so this module never imports sympy.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import NotSquarefree
-
-
-def _dense(f: IntPolynomial) -> list:
-    """sympy's dense form over ZZ: the coefficients, leading first."""
-    return list(reversed(f.coeffs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,13 +119,33 @@ class IntPolynomial:
         return out
 
 
-def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Z with positive leading coefficient."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
+def _prem(a: list, b: list) -> list:
+    """a mod b over Q (deg a >= deg b >= 1) times a nonzero rational, by
+    fraction-free elimination of a's top terms; trimmed, content 1."""
+    a, n, lb = list(a), len(b) - 1, b[-1]
+    for i in range(len(a) - 1, n - 1, -1):
+        if a[i]:
+            d = math.gcd(lb, a[i])
+            ua, ub = lb // d, a[i] // d
+            a = [ua * c for c in a]
+            for j, c in enumerate(b):
+                a[i - n + j] -= ub * c
+    a = a[:n]
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a)
+    return [c // g for c in a]
 
-    gcd = dup_gcd(_dense(f), _dense(g), ZZ)
-    return IntPolynomial.from_coeffs(reversed(gcd)).primitive_part()
+
+def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd over Z with positive leading coefficient, by the
+    primitive remainder sequence of f and g."""
+    a, b = list(f.primitive_part().coeffs), list(g.primitive_part().coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _prem(a, b)
+    return IntPolynomial(tuple(a)).primitive_part() if not b else IntPolynomial((1,))
 
 
 def is_squarefree(f: IntPolynomial) -> bool:
@@ -294,7 +312,7 @@ def check_irreducible(f: IntPolynomial) -> str:
     or non-squarefree f. If g = u*v over Z, deg u lies in _degree_set(g, p)
     for each prime p not dividing lc(g) (Gauss's lemma), so g is PROVEN once
     those sets meet only in {0, deg g} (Musser, J. ACM 25, 1978); otherwise
-    sympy's Zassenhaus factors g over Z and gives the answer.
+    Zassenhaus factors g over Z and gives the answer.
     """
     g = f.primitive_part()
     n = g.degree
@@ -306,14 +324,199 @@ def check_irreducible(f: IntPolynomial) -> str:
             allowed &= _degree_set(g.coeffs, p)
     if n >= 1 and allowed == proof:
         return PROVEN
-    return PROVEN if _factor_multiplicities(g) == [1] else UNKNOWN
+    return PROVEN if _irreducible_over_z(g, allowed) else UNKNOWN
 
 
-def _factor_multiplicities(g: IntPolynomial) -> list[int]:
-    """The multiplicities of the irreducible factors of g over Z, from
-    sympy's Zassenhaus factorization."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
+# --- Zassenhaus over Z ---------------------------------------------------------
+# Polynomials mod m are ascending lists of residues, trimmed; monic ones
+# end in 1.
 
-    _, factors = dup_factor_list(_dense(g), ZZ)
-    return [m for _, m in factors]
+
+def _mul_mod(a: list, b: list, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    out = [c % m for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _add_mod(a: list, b: list, m: int, sign: int = 1) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    out = [c % m for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod_mod(a: list, b: list, m: int):
+    """(q, r) with a = q*b + r mod m, b monic, deg r < deg b."""
+    a, n = list(a), len(b) - 1
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % m
+        if c:
+            q[i - n] = c
+            for j, y in enumerate(b):
+                a[i - n + j] -= c * y
+    return _add_mod(q, [], m), _add_mod(a[:n], [], m)
+
+
+def _xgcd_p(a: list, b: list, p: int):
+    """(s, t) with s*a + t*b = 1 mod p, for a and b coprime mod p."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, s1, t1 = ([c * inv % p for c in v] for v in (r1, s1, t1))
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _add_mod(s0, _mul_mod(q, s1, p), p, -1)
+        t0, t1 = t1, _add_mod(t0, _mul_mod(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)  # r0 is the constant gcd
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _berlekamp_basis(f: list, p: int) -> list:
+    """A basis of {v : v^p = v mod f} over F_p, f monic and squarefree mod
+    p, the constant 1 first; its size is the number of f's irreducible
+    factors mod p (Berlekamp, Bell Syst. Tech. J. 46, 1967)."""
+    n = len(f) - 1
+    rows = [[1]]  # x^(ip) mod f
+    for _ in range(n - 1):
+        rows.append(_rem_p([0] * p + rows[-1], f, p))
+    # (Q - I)^T, whose null space is the basis: column i holds x^(ip) - x^i
+    a = [[(rows[i][j] if j < len(rows[i]) else 0) - (i == j) for i in range(n)] for j in range(n)]
+    pivots, r = [], 0
+    for c in range(n):
+        k = next((k for k in range(r, n) if a[k][c] % p), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for k in range(n):
+            if k != r and a[k][c] % p:
+                e = a[k][c]
+                a[k] = [(x - e * y) % p for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for c in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[c] = 1
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[c] % p
+        basis.append(_add_mod(v, [], p))
+    return basis
+
+
+def _berlekamp_split(f: list, basis: list, p: int) -> list:
+    """The monic irreducible factors of f mod p: every basis vector v
+    splits each factor h as the product of gcd(h, v - s), s in F_p."""
+    factors = [f]
+    for v in basis[1:]:
+        if len(factors) == len(basis):
+            break
+        split = []
+        for h in factors:
+            if len(h) == 2:
+                split.append(h)
+                continue
+            w = _rem_p(v, h, p) or [0]
+            for s in range(p):
+                d = _gcd_p(h, _add_mod(w, [s], p, -1), p)
+                if len(d) > 1:
+                    split.append(d)
+        factors = split
+    return factors
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """f = g*h, s*g + t*h = 1 mod m (h monic, deg s < deg h, deg t < deg g)
+    lifted to mod m^2 (von zur Gathen & Gerhard, Algorithm 15.10)."""
+    mm = m * m
+    e = _add_mod(f, _mul_mod(g, h, mm), mm, -1)
+    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g = _add_mod(g, _add_mod(_mul_mod(t, e, mm), _mul_mod(q, g, mm), mm), mm)
+    h = _add_mod(h, r, mm)
+    b = _add_mod(_add_mod(_mul_mod(s, g, mm), _mul_mod(t, h, mm), mm), [1], mm, -1)
+    c, d = _divmod_mod(_mul_mod(s, b, mm), h, mm)
+    s = _add_mod(s, d, mm, -1)
+    t = _add_mod(t, _add_mod(_mul_mod(t, b, mm), _mul_mod(c, g, mm), mm), mm, -1)
+    return g, h, s, t
+
+
+def _hensel_lift(f: list, factors: list, p: int, bound: int):
+    """(lifts, m): monic u_i with f = lc(f) * prod u_i mod m, m = p^(2^k) >
+    bound, from f's monic irreducible factors mod p, each split off in
+    turn from the cofactor lifted before it."""
+    lifts, rest = [], f
+    for u in factors[:-1]:
+        g, h, m = _divmod_mod(rest, u, p)[0], u, p
+        s, t = _xgcd_p(g, h, p)
+        while m <= bound:
+            g, h, s, t = _hensel_step(rest, g, h, s, t, m)
+            m *= m
+        lifts.append(h)
+        rest = g
+    m = p
+    while m <= bound:
+        m *= m
+    inv = pow(rest[-1], -1, m)
+    lifts.append([c * inv % m for c in rest])
+    return lifts, m
+
+
+def _primes():
+    yield 2
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _irreducible_over_z(g: IntPolynomial, allowed: int) -> bool:
+    """Zassenhaus's test for g primitive: squarefree, then irreducible
+    unless some product of the Hensel-lifted factors mod p, of a degree in
+    the bit mask allowed, gives a factor of g over Z. The prime is the one
+    with the fewest factors of the first three not dividing lc(g) that keep
+    g squarefree. Lifts go past twice lc(g) times the Landau-Mignotte bound
+    2^n sqrt(n + 1) max|g_i| on the coefficients of g's factors."""
+    n = g.degree
+    if n < 1 or not is_squarefree(g):
+        return False
+    best, tried = None, 0
+    for p in _primes():
+        f = _monic_sqf_p(g.coeffs, p) if g.leading % p else None
+        if f is None:
+            continue
+        basis = _berlekamp_basis(f, p)
+        if best is None or len(basis) < len(best[2]):
+            best = (p, f, basis)
+        tried += 1
+        if tried == 3 or len(basis) <= 2:
+            break
+    p, f, basis = best
+    if len(basis) == 1:
+        return True
+    lc = g.leading
+    bound = 2 * lc * 2**n * (math.isqrt(n + 1) + 1) * max(abs(c) for c in g.coeffs)
+    lifts, m = _hensel_lift(list(g.coeffs), _berlekamp_split(f, basis, p), p, bound)
+    for size in range(1, len(lifts) // 2 + 1):
+        for subset in combinations(lifts, size):
+            if not allowed >> sum(len(u) - 1 for u in subset) & 1:
+                continue
+            prod = [lc % m]
+            for u in subset:
+                prod = _mul_mod(prod, u, m)
+            u = IntPolynomial.from_coeffs(c - m if 2 * c > m else c for c in prod).primitive_part()
+            if (g.constant % u.constant if u.constant else g.constant) == 0 and g.exact_div(u) is not None:
+                return False
+    return True

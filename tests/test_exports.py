@@ -38,14 +38,19 @@ integrate(PolyDensity(parse_multipoly("x1*x2", 2), 1), Cylinder.unit_polydisc(2,
 assert "sympy" not in sys.modules, "integrate"
 assert verify_witness_certificate(padic_witness(IntPolynomial((5, -6, 5))))
 assert "sympy" not in sys.modules, "verify_witness_certificate"
-check_irreducible(IntPolynomial((1, 0, -10, 0, 1)))  # reducible mod every prime
-assert "sympy" in sys.modules, "Zassenhaus"
+assert check_irreducible(IntPolynomial((1, 0, -10, 0, 1))) == "Proven"  # reducible mod every prime
+assert check_irreducible(IntPolynomial((-18, -15, 7, 6))) == "Unknown"  # (2x + 3)(3x^2 - x - 6)
+assert "sympy" not in sys.modules, "Zassenhaus"
+from padicorder.projaut import mat_det
+assert mat_det([[1, 2], [3, 4]]) == -2
+assert "sympy" in sys.modules, "mat_det"
 """
 
 
-def test_sympy_is_imported_only_where_zassenhaus_needs_it():
-    """Orders of companion matrices, Haar integrals and p-adic certificates
-    run without sympy; Zassenhaus imports it on first use."""
+def test_sympy_is_imported_only_on_use():
+    """Orders of companion matrices, Haar integrals, p-adic certificates
+    and Zassenhaus run without sympy; the Fraction reference mat_det
+    imports it on first use."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Integer polynomials, cyclotomics, Kronecker detection, irreducibility."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import totient
 from sympy.polys.densearith import dup_mul, dup_rr_div
 from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_irreducible_p, gf_sqf_p
 from sympy.polys.sqfreetools import dup_sqf_p
@@ -205,8 +207,8 @@ def test_check_irreducible_reducible_mod_every_prime(monkeypatch, f):
     proof = 1 | 1 << f.degree
     assert all(intpoly._degree_set(f.coeffs, p) != proof for p in intpoly._SIEVE_PRIMES)
     calls = []
-    real = intpoly._factor_multiplicities
-    monkeypatch.setattr(intpoly, "_factor_multiplicities", lambda *a: calls.append(a) or real(*a))
+    real = intpoly._irreducible_over_z
+    monkeypatch.setattr(intpoly, "_irreducible_over_z", lambda *a: calls.append(a) or real(*a))
     assert check_irreducible(f) == PROVEN
     assert len(calls) == (f not in (LEHMER, SALEM10))
 
@@ -315,7 +317,7 @@ def _refuse(*args):
 
 def test_sieve_proves_without_zassenhaus(monkeypatch):
     irreducible = [f for f in _criterion_7() if _zassenhaus(f) == PROVEN]
-    monkeypatch.setattr(intpoly, "_factor_multiplicities", _refuse)
+    monkeypatch.setattr(intpoly, "_irreducible_over_z", _refuse)
     assert check_irreducible(IntPolynomial((-1, -1, 0, 1))) == PROVEN  # x^3 - x - 1
     assert check_irreducible(IntPolynomial((5, -6, 5))) == PROVEN
     proven = 0
@@ -356,6 +358,65 @@ def test_gcd_and_exact_division_seeded():
         assert ac.exact_div(c) == a
         if c.degree >= 1:
             assert not is_squarefree(a * c * c)
+
+
+def test_poly_gcd_matches_dup_gcd_seeded():
+    """The primitive remainder sequence against sympy's dup_gcd, on
+    products with a common factor and coefficients up to 10^30."""
+    rng = random.Random(20261021)
+    for _ in range(300):
+        bound = rng.choice((20, 10**30))
+        a, b, c = (_random_poly(rng, 0, 6, bound=bound) for _ in range(3))
+        f, g = a * c, b * c
+        ref = dup_gcd(list(reversed(f.coeffs)), list(reversed(g.coeffs)), ZZ)
+        assert poly_gcd(f, g) == IntPolynomial.from_coeffs(reversed(ref)).primitive_part(), (f, g)
+
+
+def _adjoin_sqrt(f, p):
+    """f(x + sqrt p) * f(x - sqrt p) = A^2 - p B^2 for f(x + sqrt p) = A + sqrt(p) B."""
+    a, b = [0] * len(f.coeffs), [0] * len(f.coeffs)
+    for k, c in enumerate(f.coeffs):  # c (x + s)^k, s = sqrt p
+        for j in range(k + 1):
+            term = c * math.comb(k, j) * p ** ((k - j) // 2)
+            (a if (k - j) % 2 == 0 else b)[j] += term
+    a, b = IntPolynomial.from_coeffs(a), IntPolynomial.from_coeffs(b)
+    return IntPolynomial.from_coeffs(x - p * y for x, y in zip((a * a).coeffs, (b * b).coeffs + (0, 0)))
+
+
+def test_zassenhaus_on_swinnerton_dyer_polynomials(monkeypatch):
+    """The minimal polynomials of sqrt2 + sqrt3 + sqrt5 (+ sqrt7) split into
+    factors of degree 1 and 2 mod every prime, so only the search over
+    lifted factor subsets proves them; times a quadratic they are reducible,
+    and no sympy module is loaded on the way."""
+    sd = IntPolynomial((0, 1))
+    for q in (2, 3, 5, 7):
+        sd = _adjoin_sqrt(sd, q)
+        if q == 5:
+            assert sd.coeffs == (576, 0, -960, 0, 352, 0, -40, 0, 1)
+        if q >= 5:
+            assert check_irreducible(sd) == PROVEN
+            assert check_irreducible(sd * IntPolynomial((1, 1, 3))) == UNKNOWN
+            assert check_irreducible(sd * IntPolynomial((1, 1, 3)) * sd) == UNKNOWN
+    calls = []
+    real = intpoly._irreducible_over_z
+    monkeypatch.setattr(intpoly, "_irreducible_over_z", lambda *a: calls.append(a) or real(*a))
+    check_irreducible(sd)
+    assert len(calls) == 1 and sd.degree == 16
+
+
+def test_hensel_lift_reproduces_the_factorization():
+    """lc(f) times the lifted factors is f mod m, for non-monic f."""
+    f = IntPolynomial((-19, 4, 7, 18)) * IntPolynomial((5, -17, -14, 12)) * IntPolynomial((1, 0, -1, 0, 1))
+    p = next(p for p in (5, 7, 11, 13, 17, 19, 23) if intpoly._monic_sqf_p(f.coeffs, p))
+    fp = intpoly._monic_sqf_p(f.coeffs, p)
+    factors = intpoly._berlekamp_split(fp, intpoly._berlekamp_basis(fp, p), p)
+    assert len(factors) >= 3 and sum(len(u) - 1 for u in factors) == f.degree
+    lifts, m = intpoly._hensel_lift(list(f.coeffs), factors, p, 10**40)
+    assert m > 10**40 and all(u[-1] == 1 for u in lifts)
+    prod = [f.leading % m]
+    for u in lifts:
+        prod = intpoly._mul_mod(prod, u, m)
+    assert prod == [c % m for c in f.coeffs]
 
 
 def test_exact_div_outside_integer_polynomials():
