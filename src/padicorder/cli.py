@@ -143,20 +143,16 @@ def cmd_witness(args) -> int:
     return 2
 
 
-def _region_from_args(args, p: int, n: int) -> Cylinder:
-    center = (
-        tuple(parsing.parse_rational(c) for c in args.center.split(","))
-        if args.center
-        else (Fraction(0),) * n
-    )
-    return Cylinder(p, n, center, args.region_depth)
-
-
 def cmd_integrate(args) -> int:
     p = args.prime
     f = parsing.parse_multipoly(args.density, args.dim)
     density = PolyDensity(f, args.root_index)
-    region = _region_from_args(args, p, f.nvars)
+    center = (
+        tuple(parsing.parse_rational(c) for c in args.center.split(","))
+        if args.center
+        else (Fraction(0),) * f.nvars
+    )
+    region = Cylinder(p, f.nvars, center, args.region_depth)
     interval = integrate(density, region, args.depth)
     doc = {
         "kind": "integral",
@@ -200,7 +196,6 @@ def _measure_doc(p: int, dim: int, depth: int) -> dict:
 
 def cmd_measure(args) -> int:
     doc = _measure_doc(args.prime, args.dim, args.region_depth)
-    _region_from_args(args, args.prime, args.dim)  # the center must fit, though mu ignores it
     _emit(doc, args.json, [f"measure = {doc['measure']}"])
     return 0
 
@@ -375,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.set_defaults(handler=cmd_measure)
     p_meas.add_argument("--prime", type=int, required=True)
     p_meas.add_argument("--dim", type=int, default=1)
-    p_meas.add_argument("--center", default=None)
     p_meas.add_argument("--region-depth", type=int, default=0, dest="region_depth")
 
     p_tile = sub.add_parser("tile", help="exact shell-tiling ledger")

@@ -7,8 +7,9 @@ division, cyclotomic polynomials, Euler's phi, and the squarefree and
 irreducibility tests mod the primes 2-13 run on Python ints; those tests
 settle most input, gcd(f, f') and Zassenhaus over Z the rest. Gcds are
 primitive remainder sequences, and Zassenhaus is Berlekamp's factorization
-mod p, quadratic Hensel lifting and a search over factor subsets, all on
-Python ints too, so this module never imports sympy.
+mod the sieve prime with the fewest factors (past 13 only when no sieve
+prime is usable), quadratic Hensel lifting and a search over factor
+subsets, all on Python ints too, so this module never imports sympy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotSquarefree
+from .padic import _is_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,19 +247,27 @@ UNKNOWN = "Unknown"
 # tried in order, skipped ones included, so the sieve's cost is bounded
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13)
 
+# Polynomials mod m are ascending lists of residues, trimmed; monic ones
+# end in 1.
+
+
+def _trim_mod(v: list, m: int) -> list:
+    """v reduced mod m, trailing zeros dropped."""
+    v = [c % m for c in v]
+    while v and not v[-1]:
+        v.pop()
+    return v
+
 
 def _rem_p(a: list, b: list, p: int) -> list:
-    """a mod b over F_p, b monic; coefficients ascending, result trimmed."""
+    """a mod b over F_p, b monic."""
     a, m = list(a), len(b) - 1
     for i in range(len(a) - 1, m - 1, -1):
         q = a[i] % p
         if q:
             for j in range(m):
                 a[i - m + j] -= q * b[j]
-    a = [c % p for c in a[:m]]
-    while a and not a[-1]:
-        a.pop()
-    return a
+    return _trim_mod(a[:m], p)
 
 
 def _gcd_p(a: list, b: list, p: int) -> list:
@@ -278,17 +288,25 @@ def _monic_sqf_p(c: tuple, p: int):
     return f if len(_gcd_p(f, df, p)) == 1 else None
 
 
-def _degree_set(c: tuple, p: int) -> int:
-    """Bit mask of the degrees of products of f's irreducible factors mod p
-    (f = c, p not dividing c[-1]); every degree when f is not squarefree mod
-    p. gcd(f, x^(p^d) - x) holds the factors of degree dividing d, and the
-    rows x^(ip) mod f map x^(p^(d-1)) to x^(p^d) (Frobenius)."""
+def _frobenius(f: list, p: int) -> list:
+    """The rows x^(ip) mod f over F_p, i < deg f, f monic: the matrix of
+    v -> v^p on F_p[x]/(f)."""
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_rem_p([0] * p + rows[-1], f, p))
+    return rows
+
+
+def _degree_set(c: tuple, p: int):
+    """(mask, r, f, rows), p not dividing c[-1]: the degrees of products of
+    the r irreducible factors mod p of f = c made monic mod p, as a bit
+    mask, and f's _frobenius rows, which map x^(p^(d-1)) to x^(p^d); every
+    degree and 0, None, None when f is not squarefree mod p.
+    gcd(f, x^(p^d) - x) holds the factors of degree dividing d."""
     n, f = len(c) - 1, _monic_sqf_p(c, p)
     if f is None:
-        return (1 << n + 1) - 1
-    rows = [[1]]
-    for _ in range(n - 1):
-        rows.append(_rem_p([0] * p + rows[-1], f, p))
+        return (1 << n + 1) - 1, 0, None, None
+    rows = _frobenius(f, p)
     mask, rest, d, h, found = 1, n, 0, [0, 1], [0] * (n + 1)
     while 2 * (d + 1) <= rest:  # else the rest is one irreducible factor
         d += 1
@@ -303,7 +321,7 @@ def _degree_set(c: tuple, p: int) -> int:
         rest -= d * found[d]
         for _ in range(found[d]):
             mask |= mask << d
-    return mask | mask << rest
+    return mask | mask << rest, sum(found) + (rest > 0), f, rows
 
 
 def check_irreducible(f: IntPolynomial) -> str:
@@ -312,24 +330,27 @@ def check_irreducible(f: IntPolynomial) -> str:
     or non-squarefree f. If g = u*v over Z, deg u lies in _degree_set(g, p)
     for each prime p not dividing lc(g) (Gauss's lemma), so g is PROVEN once
     those sets meet only in {0, deg g} (Musser, J. ACM 25, 1978); otherwise
-    Zassenhaus factors g over Z and gives the answer.
+    Zassenhaus factors g over Z and gives the answer, mod the sieve prime
+    with the fewest factors that keeps g squarefree.
     """
     g = f.primitive_part()
     n = g.degree
     allowed, proof = (1 << n + 1) - 1, 1 | 1 << n  # bit k: deg u = k is possible
+    fewest, prime = n + 1, None
     for p in _SIEVE_PRIMES:
         if allowed == proof:
             break
         if g.leading % p:
-            allowed &= _degree_set(g.coeffs, p)
+            mask, r, fp, rows = _degree_set(g.coeffs, p)
+            allowed &= mask
+            if fp is not None and r < fewest:
+                fewest, prime = r, (p, fp, rows)
     if n >= 1 and allowed == proof:
         return PROVEN
-    return PROVEN if _irreducible_over_z(g, allowed) else UNKNOWN
+    return PROVEN if _irreducible_over_z(g, allowed, prime) else UNKNOWN
 
 
 # --- Zassenhaus over Z ---------------------------------------------------------
-# Polynomials mod m are ascending lists of residues, trimmed; monic ones
-# end in 1.
 
 
 def _mul_mod(a: list, b: list, m: int) -> list:
@@ -337,22 +358,14 @@ def _mul_mod(a: list, b: list, m: int) -> list:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    out = [c % m for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim_mod(out, m)
 
 
 def _add_mod(a: list, b: list, m: int, sign: int = 1) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
+    out = list(a) + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
         out[i] += sign * y
-    out = [c % m for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim_mod(out, m)
 
 
 def _divmod_mod(a: list, b: list, m: int):
@@ -365,7 +378,7 @@ def _divmod_mod(a: list, b: list, m: int):
             q[i - n] = c
             for j, y in enumerate(b):
                 a[i - n + j] -= c * y
-    return _add_mod(q, [], m), _add_mod(a[:n], [], m)
+    return _trim_mod(q, m), _trim_mod(a[:n], m)
 
 
 def _xgcd_p(a: list, b: list, p: int):
@@ -382,14 +395,12 @@ def _xgcd_p(a: list, b: list, p: int):
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _berlekamp_basis(f: list, p: int) -> list:
-    """A basis of {v : v^p = v mod f} over F_p, f monic and squarefree mod
-    p, the constant 1 first; its size is the number of f's irreducible
-    factors mod p (Berlekamp, Bell Syst. Tech. J. 46, 1967)."""
-    n = len(f) - 1
-    rows = [[1]]  # x^(ip) mod f
-    for _ in range(n - 1):
-        rows.append(_rem_p([0] * p + rows[-1], f, p))
+def _berlekamp_basis(rows: list, p: int) -> list:
+    """A basis of {v : v^p = v mod f} over F_p, from the _frobenius rows of
+    f monic and squarefree mod p, the constant 1 first; its size is the
+    number of f's irreducible factors mod p (Berlekamp, Bell Syst. Tech. J.
+    46, 1967)."""
+    n = len(rows)
     # (Q - I)^T, whose null space is the basis: column i holds x^(ip) - x^i
     a = [[(rows[i][j] if j < len(rows[i]) else 0) - (i == j) for i in range(n)] for j in range(n)]
     pivots, r = [], 0
@@ -412,7 +423,7 @@ def _berlekamp_basis(f: list, p: int) -> list:
         v[c] = 1
         for row, pc in zip(a, pivots):
             v[pc] = -row[c] % p
-        basis.append(_add_mod(v, [], p))
+        basis.append(_trim_mod(v, p))
     return basis
 
 
@@ -473,40 +484,26 @@ def _hensel_lift(f: list, factors: list, p: int, bound: int):
     return lifts, m
 
 
-def _primes():
-    yield 2
-    p = 3
-    while True:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            yield p
-        p += 2
-
-
-def _irreducible_over_z(g: IntPolynomial, allowed: int) -> bool:
-    """Zassenhaus's test for g primitive: squarefree, then irreducible
-    unless some product of the Hensel-lifted factors mod p, of a degree in
-    the bit mask allowed, gives a factor of g over Z. The prime is the one
-    with the fewest factors of the first three not dividing lc(g) that keep
-    g squarefree. Lifts go past twice lc(g) times the Landau-Mignotte bound
-    2^n sqrt(n + 1) max|g_i| on the coefficients of g's factors."""
-    n = g.degree
-    if n < 1 or not is_squarefree(g):
-        return False
-    best, tried = None, 0
-    for p in _primes():
-        f = _monic_sqf_p(g.coeffs, p) if g.leading % p else None
-        if f is None:
-            continue
-        basis = _berlekamp_basis(f, p)
-        if best is None or len(basis) < len(best[2]):
-            best = (p, f, basis)
-        tried += 1
-        if tried == 3 or len(basis) <= 2:
-            break
-    p, f, basis = best
-    if len(basis) == 1:
-        return True
-    lc = g.leading
+def _irreducible_over_z(g: IntPolynomial, allowed: int, prime) -> bool:
+    """Zassenhaus's test for g primitive: irreducible unless some product of
+    the Hensel-lifted factors mod p, of a degree in the bit mask allowed,
+    gives a factor of g over Z. prime is (p, g monic mod p, its _frobenius
+    rows); a sieve prime keeps g squarefree, so g is squarefree over Z. If
+    None, gcd(g, g') decides that, and p is the first prime past 13 not
+    dividing lc(g) that keeps g squarefree. Lifts go past twice lc(g) times
+    the Landau-Mignotte bound 2^n sqrt(n + 1) max|g_i| on the coefficients
+    of g's factors."""
+    n, lc = g.degree, g.leading
+    if prime is None:
+        if n < 1 or not poly_gcd(g, g.derivative()).is_constant():
+            return False
+        p, f = _SIEVE_PRIMES[-1], None
+        while f is None:
+            p += 2
+            f = _monic_sqf_p(g.coeffs, p) if _is_prime(p) and lc % p else None
+        prime = p, f, _frobenius(f, p)
+    p, f, rows = prime
+    basis = _berlekamp_basis(rows, p)
     bound = 2 * lc * 2**n * (math.isqrt(n + 1) + 1) * max(abs(c) for c in g.coeffs)
     lifts, m = _hensel_lift(list(g.coeffs), _berlekamp_split(f, basis, p), p, bound)
     for size in range(1, len(lifts) // 2 + 1):

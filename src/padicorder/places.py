@@ -14,7 +14,7 @@ certifies a root of absolute value p^s > 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -238,10 +238,8 @@ def find_witness(alpha: AlgebraicNumberSpec):
         order = root_of_unity_order(f)
     if order is not None:
         return RootOfUnity(order=order, conditionality=cond)
-    cert = padic_witness(f, conditionality=cond)
-    if cert is not None:
-        return Witness(cert)
-    return Witness(archimedean_witness(f, conditionality=cond))
+    cert = padic_witness(f, conditionality=cond) or archimedean_witness(f, conditionality=cond)
+    return Witness(replace(cert, alpha=AlgebraicNumberSpec(f, None, alpha.irreducibility_status)))
 
 
 def product_formula_check(r) -> bool:

@@ -163,6 +163,12 @@ def test_measure(capsys):
     assert code == 0 and "1/25" in out
 
 
+def test_measure_takes_no_center(capsys):
+    """A cylinder's measure does not depend on its center, so measure has no --center."""
+    code, _, err = run(capsys, "measure", "--prime", "5", "--dim", "2", "--center", "1,2")
+    assert code == 1 and "--center" in err
+
+
 def test_measure_refuses_large_depth_or_dimension(capsys):
     # the bits cap is 2^13: p = 2 has 2 bits, so depth 4096 is the largest
     code, out, _ = run(capsys, "measure", "--prime", "2", "--region-depth", "4096")

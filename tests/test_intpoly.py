@@ -205,7 +205,7 @@ def test_check_irreducible_reducible_mod_every_prime(monkeypatch, f):
     other three have only factors of degree 1 and 2 mod p, so they reach
     Zassenhaus once."""
     proof = 1 | 1 << f.degree
-    assert all(intpoly._degree_set(f.coeffs, p) != proof for p in intpoly._SIEVE_PRIMES)
+    assert all(intpoly._degree_set(f.coeffs, p)[0] != proof for p in intpoly._SIEVE_PRIMES)
     calls = []
     real = intpoly._irreducible_over_z
     monkeypatch.setattr(intpoly, "_irreducible_over_z", lambda *a: calls.append(a) or real(*a))
@@ -308,7 +308,7 @@ def test_degree_set_matches_galoistools():
             f = f * _random_poly(rng, 1, 3)
         for p in (2, 3, 5, 7, 11, 13, 17, 19):
             if f.leading % p:
-                assert intpoly._degree_set(f.coeffs, p) == _degree_set_oracle(f, p), (f, p)
+                assert intpoly._degree_set(f.coeffs, p)[0] == _degree_set_oracle(f, p), (f, p)
 
 
 def _refuse(*args):
@@ -404,12 +404,60 @@ def test_zassenhaus_on_swinnerton_dyer_polynomials(monkeypatch):
     assert len(calls) == 1 and sd.degree == 16
 
 
+def test_degree_set_counts_the_factors():
+    """Beside its mask, _degree_set returns the number of factors mod p,
+    f made monic mod p and f's Frobenius rows, for Zassenhaus to reuse."""
+    rng = random.Random(29)
+    for _ in range(100):
+        f = _random_poly(rng, 1, 10, bound=30)
+        for p in (2, 3, 5, 7, 11, 13):
+            if f.leading % p == 0:
+                continue
+            _, r, fp, rows = intpoly._degree_set(f.coeffs, p)
+            g = gf_from_int_poly(list(reversed(f.coeffs)), p)
+            if not gf_sqf_p(g, p, ZZ):
+                assert (r, fp, rows) == (0, None, None), (f, p)
+                continue
+            inv = pow(f.leading, -1, p)
+            assert r == len(gf_factor_sqf(g, p, ZZ)[1]) and fp == [c * inv % p for c in f.coeffs], (f, p)
+            assert rows == [intpoly._rem_p([0] * (i * p) + [1], fp, p) for i in range(f.degree)], (f, p)
+
+
+@pytest.mark.parametrize(
+    "f, answer, prime",
+    [
+        # the Swinnerton-Dyer octic: factors of degree 1 and 2 mod every prime
+        (IntPolynomial((576, 0, -960, 0, 352, 0, -40, 0, 1)), PROVEN, None),
+        # (x-1)(x-2)(x-3)(x-5): four linear factors mod 5, 7, 11 and 13
+        (IntPolynomial((30, -61, 41, -11, 1)), UNKNOWN, 5),
+        # not squarefree mod any sieve prime, so the prime comes from past 13
+        (IntPolynomial((-30030, 0, 1)), PROVEN, 17),
+        (IntPolynomial((1, 1)) * IntPolynomial((30031, 1)), UNKNOWN, 17),
+    ],
+)
+def test_zassenhaus_builds_one_basis(monkeypatch, f, answer, prime):
+    """Zassenhaus builds one Berlekamp basis, at the sieve prime with the
+    fewest factors (any sieve prime when prime is None), from the sieve's
+    own reduction and Frobenius rows: no prime's are computed twice."""
+    seen = {}
+    for name in ("_monic_sqf_p", "_frobenius", "_berlekamp_basis", "_irreducible_over_z"):
+        real = getattr(intpoly, name)
+        spy = lambda *a, name=name, real=real: seen.setdefault(name, []).append(a[1]) or real(*a)
+        monkeypatch.setattr(intpoly, name, spy)
+    assert check_irreducible(f) == answer == _zassenhaus(f)
+    assert len(seen["_irreducible_over_z"]) == len(seen["_berlekamp_basis"]) == 1
+    p = seen["_berlekamp_basis"][0]
+    assert p == prime if prime else p in intpoly._SIEVE_PRIMES
+    for name in ("_monic_sqf_p", "_frobenius"):
+        assert len(seen[name]) == len(set(seen[name])), name
+
+
 def test_hensel_lift_reproduces_the_factorization():
     """lc(f) times the lifted factors is f mod m, for non-monic f."""
     f = IntPolynomial((-19, 4, 7, 18)) * IntPolynomial((5, -17, -14, 12)) * IntPolynomial((1, 0, -1, 0, 1))
     p = next(p for p in (5, 7, 11, 13, 17, 19, 23) if intpoly._monic_sqf_p(f.coeffs, p))
     fp = intpoly._monic_sqf_p(f.coeffs, p)
-    factors = intpoly._berlekamp_split(fp, intpoly._berlekamp_basis(fp, p), p)
+    factors = intpoly._berlekamp_split(fp, intpoly._berlekamp_basis(intpoly._frobenius(fp, p), p), p)
     assert len(factors) >= 3 and sum(len(u) - 1 for u in factors) == f.degree
     lifts, m = intpoly._hensel_lift(list(f.coeffs), factors, p, 10**40)
     assert m > 10**40 and all(u[-1] == 1 for u in lifts)

@@ -280,6 +280,17 @@ def test_conditionality_flag():
     assert unchecked.certificate.conditionality == "ConditionalOnIrreducibility"
 
 
+def test_certificate_alpha_carries_the_spec_status():
+    """Both branches: the certificate's alpha has the status of the spec
+    that find_witness was given, Proven behind Unconditional."""
+    for f in (IntPolynomial((5, -6, 5)), IntPolynomial((-1, -1, 0, 1))):  # p-adic, archimedean
+        proven = find_witness(AlgebraicNumberSpec.from_poly(f, prove=True)).certificate
+        assert (proven.alpha.irreducibility_status, proven.conditionality) == (PROVEN, "Unconditional")
+        unchecked = find_witness(AlgebraicNumberSpec(f)).certificate
+        assert unchecked.alpha.irreducibility_status == UNKNOWN
+        assert unchecked.conditionality == "ConditionalOnIrreducibility"
+
+
 # A Lehmer witness written by the earlier bisection isolator: its box has
 # non-dyadic endpoints, unlike the boxes the Krawczyk isolator emits.
 BISECTION_LEHMER_DOC = {

@@ -114,6 +114,15 @@ def test_projective_order_eigenvalue_witness():
     assert verify_witness_certificate(v.certificate)
 
 
+def test_disguised_companion_certificate_alpha_is_proven():
+    """P C P^-1, C the companion of x^3 - x - 1: the certificate is
+    Unconditional, and its alpha carries the Proven status behind that."""
+    p = F([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    v = projective_order(mat_mul(mat_mul(p, companion(IntPolynomial((-1, -1, 0, 1)))), mat_inv(p)))
+    assert v.conditionality == v.certificate.conditionality == "Unconditional"
+    assert v.certificate.alpha.irreducibility_status == "Proven"
+
+
 def min_scalar_power(m, bound):
     for k in range(1, bound + 1):
         if is_scalar_matrix(mat_pow(m, k)):
